@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from . import cloud as cloud_mod
@@ -20,6 +21,13 @@ from .ingest import ParseError, parse_dataset, serialize_dataset, serialize_regi
 from .ingest import station_size_distribution
 
 __all__ = ["main"]
+
+
+def _fractions(text: str) -> list[Fraction]:
+    try:
+        return [Fraction(tok) for tok in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected comma-separated fractions, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = add(name, "dent detection" if name == "dents" else "falsification lower bound",
                 party=True, hist=True)
         p.add_argument("--z-threshold", type=float, default=rational.DEFAULT_Z_THRESHOLD)
-        p.add_argument("--candidates", default=None,
+        p.add_argument("--candidates", default=None, type=_fractions,
                        help="comma-separated fractions, e.g. 13/20,3/4 (default: k/20 in [0.5,0.95])")
 
     p = add("coinflip", "coin-flip share histogram over the dataset's station sizes", fmt=True)
@@ -112,6 +120,10 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _json(doc, sort_keys: bool = True) -> str:
+    return json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
+
+
 def _region_filter(args):
     if getattr(args, "exclude_exceptional", False):
         return lambda info: not info.exceptional
@@ -138,21 +150,10 @@ def _hist_output(h: Histogram, args) -> str:
 
 
 def _dent_report(ds, args):
-    if args.candidates is None:
-        candidates = rational.DEFAULT_CANDIDATES
-    else:
-        candidates = [Fraction(tok) for tok in args.candidates.split(",")]
-    center = args.center if args.center is not None else float(candidates[0])
+    candidates = args.candidates or rational.DEFAULT_CANDIDATES
     spec = _hist_spec(args)
     if spec.align_center is None:
-        spec = HistogramSpec(
-            bin_width=spec.bin_width,
-            weight_mode=spec.weight_mode,
-            min_station_size=spec.min_station_size,
-            share_denominator=spec.share_denominator,
-            region_filter=spec.region_filter,
-            align_center=center,
-        )
+        spec = replace(spec, align_center=float(candidates[0]))
     h = station_voting_histogram(ds, args.party, spec)
     return rational.detect_dents(h, candidates, args.z_threshold)
 
@@ -194,58 +195,35 @@ def _dispatch(args) -> int:
         _write(_hist_output(h, args), args.output)
         return 0
 
-    if cmd in ("cloud", "compress"):
+    if cmd in ("cloud", "compress", "modes"):
         cl = cloud_mod.build_cloud(
             ds, args.party, denominator=args.denominator, region_filter=_region_filter(args)
         )
-        pts = cloud_mod.compress(cl) if cmd == "compress" else cl.points
-        if args.format == "svg":
-            _write(
-                svg.scatter_svg(
-                    [p.coords for p in pts], equal_scales=not args.unequal_scales
-                ),
-                args.output,
+        compressed = cmd == "compress" or (cmd == "modes" and args.compressed)
+        pts = cloud_mod.compress(cl) if compressed else cl.points
+        if cmd == "modes":
+            modes = cloud_mod.estimate_modes(pts, cell=args.cell, top_k=args.top_k)
+            text = _json(
+                [{"location": list(m.location), "density": m.density, "cell": list(m.cell)} for m in modes],
+                sort_keys=False,
             )
+        elif args.format == "svg":
+            text = svg.scatter_svg([p.coords for p in pts], equal_scales=not args.unequal_scales)
         elif args.format == "csv":
-            text = cloud_mod.compressed_csv(pts) if cmd == "compress" else cl.to_csv()
-            _write(text, args.output)
+            text = cloud_mod.compressed_csv(pts) if compressed else cl.to_csv()
         else:
-            _write(
-                json.dumps(
-                    {
-                        "party": args.party,
-                        "denominator": args.denominator,
-                        "points": [
-                            {"station_id": p.station_id, "coords": list(p.coords), "weight": p.weight}
-                            for p in pts
-                        ],
-                        "excluded": cl.excluded,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n",
-                args.output,
+            text = _json(
+                {
+                    "party": args.party,
+                    "denominator": args.denominator,
+                    "points": [
+                        {"station_id": p.station_id, "coords": list(p.coords), "weight": p.weight}
+                        for p in pts
+                    ],
+                    "excluded": cl.excluded,
+                }
             )
-        return 0
-
-    if cmd == "modes":
-        cl = cloud_mod.build_cloud(
-            ds, args.party, denominator=args.denominator, region_filter=_region_filter(args)
-        )
-        pts = cloud_mod.compress(cl) if args.compressed else cl.points
-        modes = cloud_mod.estimate_modes(pts, cell=args.cell, top_k=args.top_k)
-        _write(
-            json.dumps(
-                [
-                    {"location": list(m.location), "density": m.density, "cell": list(m.cell)}
-                    for m in modes
-                ],
-                indent=2,
-            )
-            + "\n",
-            args.output,
-        )
+        _write(text, args.output)
         return 0
 
     if cmd == "dents":
@@ -255,7 +233,7 @@ def _dispatch(args) -> int:
     if cmd == "bound":
         report = _dent_report(ds, args)
         bound = rational.falsification_lower_bound(ds, args.party, report)
-        _write(json.dumps({"party": args.party, "bound": bound}, indent=2) + "\n", args.output)
+        _write(_json({"party": args.party, "bound": bound}, sort_keys=False), args.output)
         return 0
 
     if cmd == "coinflip":
@@ -268,23 +246,14 @@ def _dispatch(args) -> int:
     if cmd == "mixture":
         mu = station_size_distribution(ds).normalize()
         mean, var, excess = mixture_mod.mixture_moments(mu, args.p)
-        _write(
-            json.dumps(
-                {
-                    "p": args.p,
-                    "mean": mean,
-                    "variance": var,
-                    "excess_kurtosis": excess,
-                    "kolmogorov_distance_to_gaussian": mixture_mod.kolmogorov_gaussian_distance(
-                        mu, args.p
-                    ),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            args.output,
-        )
+        doc = {
+            "p": args.p,
+            "mean": mean,
+            "variance": var,
+            "excess_kurtosis": excess,
+            "kolmogorov_distance_to_gaussian": mixture_mod.kolmogorov_gaussian_distance(mu, args.p),
+        }
+        _write(_json(doc), args.output)
         return 0
 
     if cmd == "region-report":
@@ -296,24 +265,9 @@ def _dispatch(args) -> int:
             subset = {tok.strip() for tok in args.region_set.split(",") if tok.strip()}
         else:
             subset = {rid for rid, info in ds.regions.items() if info.exceptional}
-        d = region.decompose(ds, args.party, subset)
-        _write(
-            json.dumps(
-                {
-                    "party": d.party_id,
-                    "total_votes": d.total_votes,
-                    "subset_votes": d.subset_votes,
-                    "subset_fraction": d.subset_fraction,
-                    "overall_share": d.overall_share,
-                    "share_excluding_subset": d.share_excluding_subset,
-                    "relative_loss": d.relative_loss,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            args.output,
-        )
+        doc = asdict(region.decompose(ds, args.party, subset))
+        doc["party"] = doc.pop("party_id")
+        _write(_json(doc), args.output)
         return 0
 
     if cmd == "inject":
@@ -329,7 +283,7 @@ def _dispatch(args) -> int:
         _write(serialize_dataset(new_ds), args.output)
         if args.manifest:
             with open(args.manifest, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+                fh.write(_json(manifest))
         return 0
 
     raise ValueError(f"unhandled command {cmd!r}")

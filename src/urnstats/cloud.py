@@ -12,12 +12,14 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.stats import pearsonr, spearmanr
 
-from .ingest import Dataset, RegionInfo, flagged_stations
+from .histogram import bin_indices
+from .ingest import EXCLUSION_REASONS, Dataset, RegionInfo, select
 
 __all__ = [
     "CloudPoint",
@@ -72,11 +74,7 @@ class Cloud:
     party: str
     denominator: str
     excluded: dict[str, int] = field(
-        default_factory=lambda: {
-            "zero_denominator": 0,
-            "region_filtered": 0,
-            "validation_flagged": 0,
-        }
+        default_factory=lambda: {r: 0 for r in EXCLUSION_REASONS if r != "below_min_size"}
     )
 
     def __len__(self) -> int:
@@ -86,12 +84,31 @@ class Cloud:
         return iter(self.points)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["station_id", "x", "y", "weight"])
-        for pt in self.points:
-            writer.writerow([pt.station_id or "", repr(pt.x), repr(pt.y), repr(pt.weight)])
-        return out.getvalue()
+        return _points_csv(self.points, ("x", "y"))
+
+
+def _points_csv(points, axes: tuple[str, str]) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["station_id", *axes, "weight"])
+    for pt in points:
+        writer.writerow([pt.station_id or "", *map(repr, pt.coords), repr(pt.weight)])
+    return out.getvalue()
+
+
+def _coordinates(ds, party, denominator, region_filter, include_flagged):
+    """(reason, kept, turnout, share): `select`'s reason codes, the kept
+    stations' indices and their coordinates."""
+    if party not in ds.parties:
+        raise ValueError(f"unknown party {party!r}")
+    if denominator not in ("ballots_cast", "valid_ballots"):
+        raise ValueError(f"unknown denominator {denominator!r}")
+    cols = ds.columns
+    reason = select(ds, region_filter, include_flagged, 0, denominator)
+    kept = np.flatnonzero(reason == 0)
+    x = cols.ballots_cast[kept] / cols.registered[kept]
+    y = cols.votes[kept, ds.parties.index(party)] / getattr(cols, denominator)[kept]
+    return reason, kept, x, y
 
 
 def build_cloud(
@@ -107,33 +124,14 @@ def build_cloud(
     Stations whose turnout or share denominator is zero are excluded and
     counted, as are region-filtered and validation-flagged stations.
     """
-    if party not in ds.parties:
-        raise ValueError(f"unknown party {party!r}")
-    if denominator not in ("ballots_cast", "valid_ballots"):
-        raise ValueError(f"unknown denominator {denominator!r}")
-    cloud = Cloud(points=[], party=party, denominator=denominator)
-    flagged = frozenset() if include_flagged else flagged_stations(ds)
-    for rec in ds.records:
-        if region_filter is not None and not region_filter(ds.regions[rec.region_id]):
-            cloud.excluded["region_filtered"] += 1
-            continue
-        if rec.station_id in flagged:
-            cloud.excluded["validation_flagged"] += 1
-            continue
-        x = rec.turnout()
-        y = rec.share(party, denominator)
-        if x is None or y is None:
-            cloud.excluded["zero_denominator"] += 1
-            continue
-        cloud.points.append(
-            CloudPoint(
-                x=x,
-                y=y,
-                weight=float(rec.registered) if weight_by_registered else 1.0,
-                station_id=rec.station_id,
-            )
-        )
-    return cloud
+    reason, kept, x, y = _coordinates(ds, party, denominator, region_filter, include_flagged)
+    cols = ds.columns
+    w = cols.registered[kept].astype(float).tolist() if weight_by_registered else [1.0] * len(kept)
+    points = list(map(CloudPoint, x.tolist(), y.tolist(), w, cols.station_ids[kept].tolist()))
+    counts = np.bincount(reason, minlength=len(EXCLUSION_REASONS) + 1)[1:].tolist()
+    excluded = dict(zip(EXCLUSION_REASONS, counts))
+    del excluded["below_min_size"]  # a cloud has no size threshold
+    return Cloud(points=points, party=party, denominator=denominator, excluded=excluded)
 
 
 def compress(points: Cloud | Sequence[CloudPoint]) -> list[CompressedPoint]:
@@ -145,12 +143,7 @@ def compress(points: Cloud | Sequence[CloudPoint]) -> list[CompressedPoint]:
 
 
 def compressed_csv(points: Sequence[CompressedPoint]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["station_id", "u", "v", "weight"])
-    for pt in points:
-        writer.writerow([pt.station_id or "", repr(pt.u), repr(pt.v), repr(pt.weight)])
-    return out.getvalue()
+    return _points_csv(points, ("u", "v"))
 
 
 @dataclass(frozen=True)
@@ -187,32 +180,26 @@ def estimate_modes(
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     n = math.ceil(1.0 / cell - 1e-9)
-    grid = np.zeros((n, n))
-    for pt in pts:
-        px, py = pt.coords
-        i = min(int(math.floor(px / cell + 1e-9)), n - 1)
-        j = min(int(math.floor(py / cell + 1e-9)), n - 1)
-        grid[i, j] += pt.weight
+    xy = np.fromiter(chain.from_iterable(pt.coords for pt in pts), float, 2 * len(pts))
+    i, j = (bin_indices(xy[k::2], 0.0, cell, n) for k in (0, 1))
+    weights = np.fromiter((pt.weight for pt in pts), float, len(pts))
+    grid = np.bincount(i * n + j, weights=weights, minlength=n * n).reshape(n, n)
 
+    # a mode cell strictly exceeds each of its 8 neighbours
     padded = np.zeros((n + 2, n + 2))
     padded[1:-1, 1:-1] = grid
-    modes: list[ModeEstimate] = []
-    for i in range(n):
-        for j in range(n):
-            w = grid[i, j]
-            if w <= 0:
-                continue
-            block = padded[i : i + 3, j : j + 3]
-            if np.count_nonzero(block >= w) == 1:  # only the center itself
-                modes.append(
-                    ModeEstimate(
-                        location=((i + 0.5) * cell, (j + 0.5) * cell),
-                        density=float(w),
-                        cell=(i, j),
-                    )
-                )
-    modes.sort(key=lambda m: (-m.density, m.cell[0], m.cell[1]))
-    return modes[:top_k]
+    is_mode = grid > 0
+    for di in range(3):
+        for dj in range(3):
+            if (di, dj) != (1, 1):
+                is_mode &= grid > padded[di : di + n, dj : dj + n]
+    mi, mj = np.nonzero(is_mode)
+    density = grid[mi, mj]
+    order = np.lexsort((mj, mi, -density))[:top_k]
+    return [
+        ModeEstimate(location=((a + 0.5) * cell, (b + 0.5) * cell), density=d, cell=(a, b))
+        for a, b, d in zip(mi[order].tolist(), mj[order].tolist(), density[order].tolist())
+    ]
 
 
 def slope_between_modes(m1, m2) -> float:
@@ -231,13 +218,15 @@ def turnout_share_association(
     include_flagged: bool = False,
 ) -> tuple[float, float, int]:
     """(pearson_r, spearman_rho, n) between turnout and party share."""
-    cloud = build_cloud(ds, party, denominator=denominator, include_flagged=include_flagged)
-    if len(cloud) < 3:
+    _, _, xs, ys = _coordinates(ds, party, denominator, None, include_flagged)
+    outside = np.flatnonzero((xs > 1.0) | (ys > 1.0))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"cloud point ({xs[i]}, {ys[i]}) outside the unit square")
+    if len(xs) < 3:
         raise ValueError("association needs at least 3 included stations")
-    xs = np.array([pt.x for pt in cloud])
-    ys = np.array([pt.y for pt in cloud])
     if np.ptp(xs) == 0 or np.ptp(ys) == 0:
         raise ValueError("association undefined: zero variance in a coordinate")
     r = pearsonr(xs, ys).statistic
     rho = spearmanr(xs, ys).statistic
-    return float(r), float(rho), len(cloud)
+    return float(r), float(rho), len(xs)

@@ -19,12 +19,13 @@ from typing import Callable
 
 import numpy as np
 
-from .ingest import Dataset, RegionInfo, flagged_stations
+from .ingest import EXCLUSION_REASONS, Dataset, RegionInfo, select
 
 __all__ = [
     "HistogramSpec",
     "Histogram",
     "WEIGHT_MODES",
+    "bin_indices",
     "station_voting_histogram",
     "turnout_histogram",
     "rebin",
@@ -38,6 +39,16 @@ SHARE_DENOMINATORS = ("ballots_cast", "valid_ballots")
 # shares are ratios of counts <= a few thousand, so their true distance to a
 # decimal bin edge is either zero or >> 1e-9.
 EDGE_EPS = 1e-9
+
+
+def bin_indices(values, lo: float, width: float, nbins: int) -> np.ndarray:
+    """Bin of each value on the grid of `nbins` bins of `width` starting at `lo`.
+
+    Exact edges fall right; values beyond either end clamp to the first or
+    last bin (so 1.0 lands in the final, closed bin).
+    """
+    idx = np.floor((np.asarray(values, dtype=float) - lo) / width + EDGE_EPS).astype(np.intp)
+    return np.clip(idx, 0, nbins - 1)
 
 
 @dataclass(frozen=True)
@@ -81,14 +92,7 @@ class Histogram:
     spec: HistogramSpec
     edges: np.ndarray
     weights: np.ndarray
-    excluded: dict[str, float] = field(
-        default_factory=lambda: {
-            "zero_denominator": 0.0,
-            "below_min_size": 0.0,
-            "region_filtered": 0.0,
-            "validation_flagged": 0.0,
-        }
-    )
+    excluded: dict[str, float] = field(default_factory=lambda: dict.fromkeys(EXCLUSION_REASONS, 0.0))
     party: str | None = None
 
     @property
@@ -103,8 +107,7 @@ class Histogram:
 
     def bin_index(self, x: float) -> int:
         """Index of the bin containing x; exact edges fall right, 1.0 clamps to the last bin."""
-        i = int(math.floor((x - self.edges[0]) / self.spec.bin_width + EDGE_EPS))
-        return min(max(i, 0), len(self.weights) - 1)
+        return int(bin_indices(x, self.edges[0], self.spec.bin_width, len(self.weights)))
 
     def add(self, x: float, weight: float) -> None:
         self.weights[self.bin_index(x)] += weight
@@ -154,41 +157,36 @@ class Histogram:
         return "\n".join(lines) + "\n"
 
 
-def _station_weight(rec, spec: HistogramSpec, party: str | None) -> float:
-    if spec.weight_mode == "stations":
-        return 1.0
-    if spec.weight_mode == "electors":
-        return float(rec.registered)
-    return float(rec.votes.get(party, 0))
-
-
 def _fill(
     ds: Dataset,
     spec: HistogramSpec,
     party: str | None,
-    value_of,
+    numerator: np.ndarray,
+    denominator: str,
 ) -> Histogram:
+    """Bin numerator / ds.columns.<denominator> over the stations `select` keeps."""
+    cols = ds.columns
+    reason = select(ds, spec.region_filter, spec.include_flagged, spec.min_station_size, denominator)
+    if spec.weight_mode == "stations":
+        w = np.ones(len(ds))
+    elif spec.weight_mode == "electors":
+        w = cols.registered.astype(float)
+    else:
+        w = cols.votes[:, ds.parties.index(party)].astype(float)
+    keep = reason == 0
     edges = spec.edges()
-    hist = Histogram(spec=spec, edges=edges, weights=np.zeros(len(edges) - 1), party=party)
-    flagged = frozenset() if spec.include_flagged else flagged_stations(ds)
-    for rec in ds.records:
-        w = _station_weight(rec, spec, party)
-        if spec.region_filter is not None and not spec.region_filter(ds.regions[rec.region_id]):
-            hist.excluded["region_filtered"] += w
-            continue
-        if rec.station_id in flagged:
-            hist.excluded["validation_flagged"] += w
-            continue
-        if rec.registered < max(spec.min_station_size, 1):
-            key = "zero_denominator" if rec.registered == 0 else "below_min_size"
-            hist.excluded[key] += w
-            continue
-        x = value_of(rec)
-        if x is None:
-            hist.excluded["zero_denominator"] += w
-            continue
-        hist.add(x, w)
-    return hist
+    idx = bin_indices(
+        numerator[keep] / getattr(cols, denominator)[keep], edges[0], spec.bin_width, len(edges) - 1
+    )
+    # astype: bincount of an empty input returns integers even when weighted
+    excluded = np.bincount(reason, weights=w, minlength=len(EXCLUSION_REASONS) + 1)[1:].astype(float)
+    return Histogram(
+        spec=spec,
+        edges=edges,
+        weights=np.bincount(idx, weights=w[keep], minlength=len(edges) - 1).astype(float),
+        excluded=dict(zip(EXCLUSION_REASONS, excluded.tolist())),
+        party=party,
+    )
 
 
 def station_voting_histogram(ds: Dataset, party: str, spec: HistogramSpec) -> Histogram:
@@ -199,14 +197,15 @@ def station_voting_histogram(ds: Dataset, party: str, spec: HistogramSpec) -> Hi
     """
     if party not in ds.parties:
         raise ValueError(f"unknown party {party!r}")
-    return _fill(ds, spec, party, lambda rec: rec.share(party, spec.share_denominator))
+    votes = ds.columns.votes[:, ds.parties.index(party)]
+    return _fill(ds, spec, party, votes, spec.share_denominator)
 
 
 def turnout_histogram(ds: Dataset, spec: HistogramSpec) -> Histogram:
     """Histogram of turnout (ballots_cast / registered) across stations."""
     if spec.weight_mode == "party_votes":
         raise ValueError("turnout histograms support stations or electors weighting only")
-    return _fill(ds, spec, None, lambda rec: rec.turnout())
+    return _fill(ds, spec, None, ds.columns.ballots_cast, "registered")
 
 
 def rebin(hist: Histogram, factor: int) -> Histogram:
@@ -223,13 +222,11 @@ def rebin(hist: Histogram, factor: int) -> Histogram:
     coarse_spec = replace(hist.spec, bin_width=hist.spec.bin_width * factor)
     edges = coarse_spec.edges()
     n = len(edges) - 1
-    weights = np.zeros(n)
-    for i, w in enumerate(hist.weights):
-        weights[min(i // factor, n - 1)] += w
+    groups = np.minimum(np.arange(len(hist.weights)) // factor, n - 1)
     return Histogram(
         spec=coarse_spec,
         edges=edges,
-        weights=weights,
+        weights=np.bincount(groups, weights=hist.weights, minlength=n),
         excluded=dict(hist.excluded),
         party=hist.party,
     )

@@ -17,8 +17,12 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Callable, Mapping
+
+import numpy as np
 
 from .mixture import SizeMeasure
 
@@ -26,6 +30,8 @@ __all__ = [
     "PrecinctRecord",
     "RegionInfo",
     "Dataset",
+    "Columns",
+    "EXCLUSION_REASONS",
     "Violation",
     "ValidationReport",
     "ParseError",
@@ -36,6 +42,7 @@ __all__ = [
     "serialize_dataset",
     "serialize_regions",
     "validate",
+    "select",
     "flagged_stations",
     "station_size_distribution",
 ]
@@ -49,8 +56,14 @@ REGION_STATUSES = (
 )
 GEO_TAGS = ("NC", "I", "Pr", "For", "T", "WS", "East")
 
+# Why select() leaves a station out; a station's reason code is 1 + the
+# reason's index here, and 0 means included.
+EXCLUSION_REASONS = ("zero_denominator", "below_min_size", "region_filtered", "validation_flagged")
+ZERO_DENOMINATOR, BELOW_MIN_SIZE, REGION_FILTERED, VALIDATION_FLAGGED = range(1, 5)
+
 VOTE_PREFIX = "votes_"
 FIXED_COLUMNS = ("station_id", "region_id", "registered", "ballots_cast", "valid_ballots")
+REGISTRY_COLUMNS = ("region_id", "name", "status", "exceptional", "geo_tag")
 
 
 class ParseError(ValueError):
@@ -122,6 +135,49 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
+    @cached_property
+    def columns(self) -> Columns:
+        """The records as column arrays, built on first use and kept."""
+        recs, n, width = self.records, len(self.records), len(self.parties)
+
+        def column(attr, dtype=np.int64):
+            return np.fromiter(map(attrgetter(attr), recs), dtype, count=n)
+
+        code = {rid: i for i, rid in enumerate(self.regions)}
+        votes = np.fromiter(
+            (r.votes.get(p, 0) for r in recs for p in self.parties), np.int64, n * width
+        ).reshape(n, width)
+        registered, cast, valid = column("registered"), column("ballots_cast"), column("valid_ballots")
+        return Columns(
+            registered, cast, valid, votes,
+            region=np.fromiter((code[r.region_id] for r in recs), np.int32, count=n),
+            station_ids=column("station_id", object),
+            violations={
+                "V_VOTES_GT_VALID": votes.sum(axis=1) > valid,
+                "V_VALID_GT_CAST": valid > cast,
+                "V_CAST_GT_REG": cast > registered,
+                "V_ZERO_REGISTERED": registered == 0,
+            },
+        )
+
+
+@dataclass(frozen=True)
+class Columns:
+    """A dataset's records as arrays, one entry per station in record order."""
+
+    registered: np.ndarray
+    ballots_cast: np.ndarray
+    valid_ballots: np.ndarray
+    votes: np.ndarray  # (stations, parties), parties in Dataset.parties order
+    region: np.ndarray  # position of the station's region in Dataset.regions
+    station_ids: np.ndarray  # object array of str
+    violations: dict[str, np.ndarray]  # violation code -> mask of stations breaking it
+
+    @property
+    def flagged(self) -> np.ndarray:
+        """Mask of stations with at least one violation."""
+        return np.logical_or.reduce(list(self.violations.values()))
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -157,7 +213,7 @@ class ValidationReport:
 
 def _open_text(source: str | Path | IO[str]) -> tuple[IO[str], bool]:
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
+        return open(source, "r", encoding="utf-8-sig", newline=""), True
     return source, False
 
 
@@ -178,13 +234,7 @@ def parse_regions(source: str | Path | IO[str]) -> dict[str, RegionInfo]:
     try:
         reader = csv.reader(stream)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-            "region_id",
-            "name",
-            "status",
-            "exceptional",
-            "geo_tag",
-        ]:
+        if header is None or tuple(h.strip() for h in header) != REGISTRY_COLUMNS:
             raise ParseError("region registry: bad or missing header row")
         regions: dict[str, RegionInfo] = {}
         for line_no, row in enumerate(reader, start=2):
@@ -308,7 +358,7 @@ def serialize_dataset(ds: Dataset) -> str:
 def serialize_regions(regions: Mapping[str, RegionInfo]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["region_id", "name", "status", "exceptional", "geo_tag"])
+    writer.writerow(REGISTRY_COLUMNS)
     for info in regions.values():
         writer.writerow(
             [info.region_id, info.name, info.status, int(info.exceptional), info.geo_tag or ""]
@@ -316,47 +366,61 @@ def serialize_regions(regions: Mapping[str, RegionInfo]) -> str:
     return out.getvalue()
 
 
+_VIOLATION_DETAIL = {
+    "V_VOTES_GT_VALID": lambda r: f"votes sum {r.votes_total} > valid ballots {r.valid_ballots}",
+    "V_VALID_GT_CAST": lambda r: f"valid ballots {r.valid_ballots} > ballots cast {r.ballots_cast}",
+    "V_CAST_GT_REG": lambda r: f"ballots cast {r.ballots_cast} > registered {r.registered}",
+    "V_ZERO_REGISTERED": lambda r: "no registered electors",
+}
+
+
 def validate(ds: Dataset) -> ValidationReport:
     """Report every count-identity violation; never mutates the dataset.
 
     Codes: V_VOTES_GT_VALID, V_VALID_GT_CAST, V_CAST_GT_REG, V_ZERO_REGISTERED.
     """
+    cols = ds.columns
     report = ValidationReport()
-    for rec in ds.records:
-        if rec.votes_total > rec.valid_ballots:
-            report.violations.append(
-                Violation(
-                    rec.station_id,
-                    "V_VOTES_GT_VALID",
-                    f"votes sum {rec.votes_total} > valid ballots {rec.valid_ballots}",
-                )
-            )
-        if rec.valid_ballots > rec.ballots_cast:
-            report.violations.append(
-                Violation(
-                    rec.station_id,
-                    "V_VALID_GT_CAST",
-                    f"valid ballots {rec.valid_ballots} > ballots cast {rec.ballots_cast}",
-                )
-            )
-        if rec.ballots_cast > rec.registered:
-            report.violations.append(
-                Violation(
-                    rec.station_id,
-                    "V_CAST_GT_REG",
-                    f"ballots cast {rec.ballots_cast} > registered {rec.registered}",
-                )
-            )
-        if rec.registered == 0:
-            report.violations.append(
-                Violation(rec.station_id, "V_ZERO_REGISTERED", "no registered electors")
-            )
+    for i in np.flatnonzero(cols.flagged).tolist():
+        rec = ds.records[i]
+        for code, mask in cols.violations.items():
+            if mask[i]:
+                report.violations.append(Violation(rec.station_id, code, _VIOLATION_DETAIL[code](rec)))
     return report
 
 
 def flagged_stations(ds: Dataset) -> frozenset[str]:
     """Station ids with at least one validation violation."""
-    return frozenset(v.station_id for v in validate(ds).violations)
+    cols = ds.columns
+    return frozenset(cols.station_ids[cols.flagged].tolist())
+
+
+def select(
+    ds: Dataset,
+    region_filter: Callable[[RegionInfo], bool] | None,
+    include_flagged: bool,
+    min_station_size: int,
+    denominator: str,
+) -> np.ndarray:
+    """Per-station exclusion reason code (see EXCLUSION_REASONS); 0 = included.
+
+    `denominator` names the column the analysed value is divided by.  Reasons
+    take precedence in this order: region_filtered, validation_flagged, then
+    below_min_size, or zero_denominator when the station has no registered
+    electors or a zero denominator.
+    """
+    cols = ds.columns
+    reason = np.zeros(len(ds), np.int8)
+    # later assignments overwrite earlier ones: lowest precedence first
+    reason[getattr(cols, denominator) == 0] = ZERO_DENOMINATOR
+    reason[cols.registered < max(min_station_size, 1)] = BELOW_MIN_SIZE
+    reason[cols.registered == 0] = ZERO_DENOMINATOR
+    if not include_flagged:
+        reason[cols.flagged] = VALIDATION_FLAGGED
+    if region_filter is not None:
+        keep = np.array([bool(region_filter(info)) for info in ds.regions.values()], dtype=bool)
+        reason[~keep[cols.region]] = REGION_FILTERED
+    return reason
 
 
 def station_size_distribution(ds: Dataset) -> SizeMeasure:

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import binom
 
-from .histogram import Histogram, HistogramSpec
+from .histogram import Histogram, HistogramSpec, bin_indices
 from .mixture import SizeMeasure
 
 __all__ = [
@@ -119,11 +119,7 @@ def coinflip_histogram(
             w = sizes.atoms[n]
             k = np.arange(n + 1)
             pmf = binom.pmf(k, n, p)
-            idx = np.clip(
-                np.floor((k / n - edges[0]) / spec.bin_width + 1e-9).astype(int),
-                0,
-                len(hist.weights) - 1,
-            )
+            idx = bin_indices(k / n, edges[0], spec.bin_width, len(hist.weights))
             np.add.at(hist.weights, idx, w * pmf)
         return hist
 
@@ -136,11 +132,7 @@ def coinflip_histogram(
         w = sizes.atoms[n]
         p = np.asarray(p_model(rng.random(trials)), dtype=float)
         k = rng.binomial(n, p)
-        idx = np.clip(
-            np.floor((k / n - edges[0]) / spec.bin_width + 1e-9).astype(int),
-            0,
-            len(hist.weights) - 1,
-        )
+        idx = bin_indices(k / n, edges[0], spec.bin_width, len(hist.weights))
         np.add.at(hist.weights, idx, w / trials)
     return hist
 

@@ -13,6 +13,8 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .ingest import Dataset
 
 __all__ = ["RegionSummary", "Decomposition", "summarize_regions", "decompose", "region_report_csv"]
@@ -41,6 +43,23 @@ class Decomposition:
     relative_loss: float
 
 
+def _region_totals(ds: Dataset) -> np.ndarray:
+    """Exact per-region sums, one row per region in registry order: registered,
+    ballots_cast, valid_ballots, then each party's votes.
+
+    Every station counts, validation-flagged ones included, so the totals
+    equal the column sums.
+    """
+    cols = ds.columns
+    totals = np.zeros((len(ds.regions), 3 + len(ds.parties)), np.int64)
+    np.add.at(
+        totals,
+        cols.region,
+        np.column_stack((cols.registered, cols.ballots_cast, cols.valid_ballots, cols.votes)),
+    )
+    return totals
+
+
 def summarize_regions(ds: Dataset, party: str) -> list[RegionSummary]:
     """Exact integer aggregation per region, sorted descending by party share.
 
@@ -49,31 +68,19 @@ def summarize_regions(ds: Dataset, party: str) -> list[RegionSummary]:
     """
     if party not in ds.parties:
         raise ValueError(f"unknown party {party!r}")
-    totals: dict[str, dict] = {
-        rid: {"electors": 0, "cast": 0, "valid": 0, "votes": {p: 0 for p in ds.parties}}
-        for rid in ds.regions
-    }
-    for rec in ds.records:
-        t = totals[rec.region_id]
-        t["electors"] += rec.registered
-        t["cast"] += rec.ballots_cast
-        t["valid"] += rec.valid_ballots
-        for p, v in rec.votes.items():
-            t["votes"][p] += v
-
     summaries = []
-    for rid, t in totals.items():
-        v = t["votes"][party]
+    for rid, (electors, cast, valid, *votes) in zip(ds.regions, _region_totals(ds).tolist()):
+        v = votes[ds.parties.index(party)]
         summaries.append(
             RegionSummary(
                 region_id=rid,
-                electors=t["electors"],
-                ballots_cast=t["cast"],
-                valid_ballots=t["valid"],
-                votes=dict(t["votes"]),
-                party_share=v / t["valid"] if t["valid"] else None,
-                turnout=t["cast"] / t["electors"] if t["electors"] else None,
-                share_of_electors=v / t["electors"] if t["electors"] else None,
+                electors=electors,
+                ballots_cast=cast,
+                valid_ballots=valid,
+                votes=dict(zip(ds.parties, votes)),
+                party_share=v / valid if valid else None,
+                turnout=cast / electors if electors else None,
+                share_of_electors=v / electors if electors else None,
             )
         )
     summaries.sort(
@@ -91,14 +98,11 @@ def decompose(ds: Dataset, party: str, region_set: Iterable[str]) -> Decompositi
     if unknown:
         raise ValueError(f"unknown regions in subset: {sorted(unknown)}")
 
-    total_votes = total_valid = subset_votes = subset_valid = 0
-    for rec in ds.records:
-        v = rec.votes.get(party, 0)
-        total_votes += v
-        total_valid += rec.valid_ballots
-        if rec.region_id in region_set:
-            subset_votes += v
-            subset_valid += rec.valid_ballots
+    totals = _region_totals(ds)
+    in_subset = np.array([rid in region_set for rid in ds.regions], dtype=bool)
+    votes, valid = totals[:, 3 + ds.parties.index(party)], totals[:, 2]
+    total_votes, total_valid = int(votes.sum()), int(valid.sum())
+    subset_votes, subset_valid = int(votes[in_subset].sum()), int(valid[in_subset].sum())
 
     if total_valid == 0:
         raise ValueError("dataset has no valid ballots")

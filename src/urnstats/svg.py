@@ -63,6 +63,8 @@ def polyline_svg(
     margin = 50
     xs_all = [x for xs, _ in series for x in xs]
     ys_all = [y for _, ys in series for y in ys]
+    if not xs_all or not ys_all:
+        raise ValueError("polyline_svg needs at least one (x, y) point")
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = 0.0, max(max(ys_all), 1e-12)
     if x_hi == x_lo:

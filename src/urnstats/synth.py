@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -197,13 +197,8 @@ def _stuff(rec: PrecinctRecord, party: str, rate: float):
         return rec, "skipped"
     votes = dict(rec.votes)
     votes[party] = votes.get(party, 0) + add
-    new = PrecinctRecord(
-        station_id=rec.station_id,
-        region_id=rec.region_id,
-        registered=rec.registered,
-        ballots_cast=rec.ballots_cast + add,
-        valid_ballots=rec.valid_ballots + add,
-        votes=votes,
+    new = replace(
+        rec, ballots_cast=rec.ballots_cast + add, valid_ballots=rec.valid_ballots + add, votes=votes
     )
     return new, "modified"
 
@@ -235,15 +230,7 @@ def _draw(rec: PrecinctRecord, party: str, targets: Sequence[float]):
         votes.update({k: int(v) for k, v in zip(keys, scaled)})
     else:
         votes.update(others)
-    new = PrecinctRecord(
-        station_id=rec.station_id,
-        region_id=rec.region_id,
-        registered=rec.registered,
-        ballots_cast=rec.ballots_cast,
-        valid_ballots=rec.valid_ballots,
-        votes=votes,
-    )
-    return new, "modified"
+    return replace(rec, votes=votes), "modified"
 
 
 def inject(ds: Dataset, injector: FraudInjector, seed: int) -> tuple[Dataset, dict]:

@@ -288,6 +288,15 @@ def test_usage_error_returns_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["dents", "bound"])
+@pytest.mark.parametrize("bad", ["x/y", "13/20,", "1/0"])
+def test_bad_candidates_is_a_usage_error(workspace, capsys, command, bad):
+    with pytest.raises(SystemExit) as exc:
+        run([command, *data_args(workspace), "--party", "UR", "--candidates", bad])
+    assert exc.value.code == 2
+    assert "--candidates" in capsys.readouterr().err
+
+
 def test_unknown_party_returns_one(workspace, capsys):
     rc = run(["hist", *data_args(workspace), "--party", "NOBODY"])
     assert rc == 1

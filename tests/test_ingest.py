@@ -128,6 +128,17 @@ def test_parse_from_paths(tmp_path, tiny_ds):
     assert back.records == tiny_ds.records
 
 
+def test_parse_paths_with_utf8_bom(tmp_path, tiny_ds):
+    data = tmp_path / "data.csv"
+    regs = tmp_path / "regions.csv"
+    data.write_text(serialize_dataset(tiny_ds), encoding="utf-8-sig")
+    regs.write_text(serialize_regions(tiny_ds.regions), encoding="utf-8-sig")
+    assert data.read_bytes().startswith(b"\xef\xbb\xbfstation_id,")
+    back = parse_dataset(data, regs)
+    assert back.records == tiny_ds.records
+    assert back.regions == tiny_ds.regions
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
