@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("cloud", "compress"):
         p = add(name, f"{name} diagram points", party=True, fmt=True)
         p.add_argument("--denominator", default="ballots_cast", choices=["ballots_cast", "valid_ballots"])
-        p.add_argument("--unequal-scales", action="store_true")
 
     p = add("modes", "2-D mode estimates of a cloud", party=True)
     p.add_argument("--denominator", default="ballots_cast", choices=["ballots_cast", "valid_ballots"])
@@ -130,10 +129,10 @@ def _region_filter(args):
     return None
 
 
-def _hist_spec(args, weight: str | None = None) -> HistogramSpec:
+def _hist_spec(args) -> HistogramSpec:
     return HistogramSpec(
         bin_width=args.bin_width,
-        weight_mode=weight or args.weight,
+        weight_mode=args.weight,
         min_station_size=getattr(args, "min_size", 0),
         share_denominator=getattr(args, "denominator", "ballots_cast"),
         region_filter=_region_filter(args),
@@ -208,7 +207,7 @@ def _dispatch(args) -> int:
                 sort_keys=False,
             )
         elif args.format == "svg":
-            text = svg.scatter_svg([p.coords for p in pts], equal_scales=not args.unequal_scales)
+            text = svg.scatter_svg([p.coords for p in pts])
         elif args.format == "csv":
             text = cloud_mod.compressed_csv(pts) if compressed else cl.to_csv()
         else:

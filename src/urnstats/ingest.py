@@ -16,11 +16,12 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields
 from functools import cached_property
-from operator import attrgetter
+from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import IO, Callable, Mapping
+from typing import IO, Callable, ContextManager, Mapping
 
 import numpy as np
 
@@ -64,6 +65,8 @@ ZERO_DENOMINATOR, BELOW_MIN_SIZE, REGION_FILTERED, VALIDATION_FLAGGED = range(1,
 VOTE_PREFIX = "votes_"
 FIXED_COLUMNS = ("station_id", "region_id", "registered", "ballots_cast", "valid_ballots")
 REGISTRY_COLUMNS = ("region_id", "name", "status", "exceptional", "geo_tag")
+INT64_MAX = np.iinfo(np.int64).max
+PARSE_CHUNK = 8192  # precinct rows converted to columns at a time
 
 
 class ParseError(ValueError):
@@ -116,54 +119,50 @@ class RegionInfo:
             raise ValueError(f"unknown geo tag {self.geo_tag!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Dataset:
-    """Immutable collection of precinct records plus the region registry."""
+    """The region registry plus one row per station, stored as columns.
 
-    records: tuple[PrecinctRecord, ...]
+    Built from `columns`, or from PrecinctRecords given as `records`, which
+    win when both are given (as in `dataclasses.replace(ds, records=...)`).
+    """
+
     regions: Mapping[str, RegionInfo]
     parties: tuple[str, ...]
+    columns: Columns
 
-    def __post_init__(self):
-        for rec in self.records:
-            if rec.region_id not in self.regions:
-                raise ValueError(f"record {rec.station_id}: unknown region {rec.region_id!r}")
-            for party in rec.votes:
-                if party not in self.parties:
-                    raise ValueError(f"record {rec.station_id}: unknown party {party!r}")
+    def __init__(self, records=None, regions=None, parties=(), columns=None):
+        if records is not None:
+            columns = _columns_from_records(records, regions, parties)
+        n = len(columns.registered)
+        bad_region = n and not 0 <= columns.region.min() <= columns.region.max() < len(regions)
+        if columns.votes.shape != (n, len(parties)) or bad_region:
+            raise ValueError("columns do not match the parties or regions")
+        self.__dict__.update(regions=regions, parties=parties, columns=columns)  # frozen: no setattr
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns.registered)
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset) or (self.regions, self.parties) != (other.regions, other.parties):
+            return False
+        return all(map(np.array_equal, self.columns.arrays(), other.columns.arrays()))
 
     @cached_property
-    def columns(self) -> Columns:
-        """The records as column arrays, built on first use and kept."""
-        recs, n, width = self.records, len(self.records), len(self.parties)
-
-        def column(attr, dtype=np.int64):
-            return np.fromiter(map(attrgetter(attr), recs), dtype, count=n)
-
-        code = {rid: i for i, rid in enumerate(self.regions)}
-        votes = np.fromiter(
-            (r.votes.get(p, 0) for r in recs for p in self.parties), np.int64, n * width
-        ).reshape(n, width)
-        registered, cast, valid = column("registered"), column("ballots_cast"), column("valid_ballots")
-        return Columns(
-            registered, cast, valid, votes,
-            region=np.fromiter((code[r.region_id] for r in recs), np.int32, count=n),
-            station_ids=column("station_id", object),
-            violations={
-                "V_VOTES_GT_VALID": votes.sum(axis=1) > valid,
-                "V_VALID_GT_CAST": valid > cast,
-                "V_CAST_GT_REG": cast > registered,
-                "V_ZERO_REGISTERED": registered == 0,
-            },
+    def records(self) -> tuple[PrecinctRecord, ...]:
+        """The stations as PrecinctRecords (votes for every party, in `parties`
+        order), built from the columns on first use and kept."""
+        c, region_ids = self.columns, list(self.regions)
+        votes = [dict(zip(self.parties, row)) for row in c.votes.tolist()]
+        return tuple(
+            map(PrecinctRecord, c.station_ids.tolist(), [region_ids[g] for g in c.region.tolist()],
+                c.registered.tolist(), c.ballots_cast.tolist(), c.valid_ballots.tolist(), votes)
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Columns:
-    """A dataset's records as arrays, one entry per station in record order."""
+    """A dataset's stations as read-only arrays, one entry per station."""
 
     registered: np.ndarray
     ballots_cast: np.ndarray
@@ -171,12 +170,45 @@ class Columns:
     votes: np.ndarray  # (stations, parties), parties in Dataset.parties order
     region: np.ndarray  # position of the station's region in Dataset.regions
     station_ids: np.ndarray  # object array of str
-    violations: dict[str, np.ndarray]  # violation code -> mask of stations breaking it
+
+    def __post_init__(self):  # datasets share unchanged columns, so none may change
+        for array in self.arrays():
+            array.flags.writeable = False
+
+    def arrays(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    @cached_property
+    def violations(self) -> dict[str, np.ndarray]:
+        """Violation code -> mask of the stations breaking that count identity."""
+        return {
+            "V_VOTES_GT_VALID": self.votes.sum(axis=1) > self.valid_ballots,
+            "V_VALID_GT_CAST": self.valid_ballots > self.ballots_cast,
+            "V_CAST_GT_REG": self.ballots_cast > self.registered,
+            "V_ZERO_REGISTERED": self.registered == 0,
+        }
 
     @property
     def flagged(self) -> np.ndarray:
         """Mask of stations with at least one violation."""
         return np.logical_or.reduce(list(self.violations.values()))
+
+
+def _columns_from_records(records, regions: Mapping[str, RegionInfo], parties: tuple[str, ...]) -> Columns:
+    recs, code = tuple(records), {rid: i for i, rid in enumerate(regions)}
+    for rec in recs:
+        if rec.region_id not in code:
+            raise ValueError(f"record {rec.station_id}: unknown region {rec.region_id!r}")
+        for party in rec.votes:
+            if party not in parties:
+                raise ValueError(f"record {rec.station_id}: unknown party {party!r}")
+    rows = [(r.registered, r.ballots_cast, r.valid_ballots, *(r.votes.get(p, 0) for p in parties)) for r in recs]
+    counts = np.array(rows, np.int64).reshape(len(recs), 3 + len(parties))
+    return Columns(
+        *counts[:, :3].T.copy(), counts[:, 3:].copy(),
+        region=np.array([code[r.region_id] for r in recs], np.int32),
+        station_ids=np.fromiter((r.station_id for r in recs), object, len(recs)),
+    )
 
 
 @dataclass(frozen=True)
@@ -211,27 +243,30 @@ class ValidationReport:
         )
 
 
-def _open_text(source: str | Path | IO[str]) -> tuple[IO[str], bool]:
+def _open_text(source: str | Path | IO[str]) -> ContextManager[IO[str]]:
+    """A path opened for reading, or a caller's stream, left open afterwards."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8-sig", newline=""), True
-    return source, False
+        return open(source, "r", encoding="utf-8-sig", newline="")
+    return nullcontext(source)
 
 
-def _to_count(token: str, line_no: int, column: str) -> int:
+def _count_problem(token: str, column: str) -> str | None:
+    """Why a count token is rejected, or None when it is a valid count."""
     token = token.strip()
     try:
         value = int(token)
     except ValueError:
-        raise ParseError(f"line {line_no}: non-integer {column} value {token!r}") from None
+        return f"non-integer {column} value {token!r}"
     if value < 0:
-        raise ParseError(f"line {line_no}: negative {column} value {value}")
-    return value
+        return f"negative {column} value {value}"
+    if value > INT64_MAX:
+        return f"{column} value {value} exceeds the int64 maximum {INT64_MAX}"
+    return None
 
 
 def parse_regions(source: str | Path | IO[str]) -> dict[str, RegionInfo]:
     """Parse a region registry CSV into a region_id -> RegionInfo mapping."""
-    stream, owned = _open_text(source)
-    try:
+    with _open_text(source) as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != REGISTRY_COLUMNS:
@@ -258,9 +293,6 @@ def parse_regions(source: str | Path | IO[str]) -> dict[str, RegionInfo]:
             except ValueError as exc:
                 raise ParseError(f"region registry line {line_no}: {exc}") from None
         return regions
-    finally:
-        if owned:
-            stream.close()
 
 
 def parse_dataset(
@@ -272,86 +304,90 @@ def parse_dataset(
     Raises ParseError naming the offending line for malformed rows, duplicate
     station ids, or region ids missing from the registry.
     """
-    if isinstance(registry, Mapping):
-        regions = dict(registry)
-    else:
-        regions = parse_regions(registry)
-
-    stream, owned = _open_text(source)
-    try:
+    regions = dict(registry) if isinstance(registry, Mapping) else parse_regions(registry)
+    code = {rid: i for i, rid in enumerate(regions)}
+    with _open_text(source) as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None:
             raise ParseError("precinct file: missing header row")
         header = [h.strip() for h in header]
         if tuple(header[: len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
-            raise ParseError(
-                f"precinct file: header must start with {','.join(FIXED_COLUMNS)}"
-            )
-        vote_columns = header[len(FIXED_COLUMNS) :]
+            raise ParseError(f"precinct file: header must start with {','.join(FIXED_COLUMNS)}")
         parties = []
-        for col in vote_columns:
+        for col in header[len(FIXED_COLUMNS) :]:
             if not col.startswith(VOTE_PREFIX) or len(col) == len(VOTE_PREFIX):
                 raise ParseError(f"precinct file: bad vote column name {col!r}")
             parties.append(col[len(VOTE_PREFIX) :])
         if len(set(parties)) != len(parties):
             raise ParseError("precinct file: duplicate party columns")
 
-        records: list[PrecinctRecord] = []
-        seen: set[str] = set()
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"line {line_no}: expected {len(header)} columns, got {len(row)}"
-                )
-            station_id = row[0].strip()
-            region_id = row[1].strip()
-            if station_id in seen:
-                raise ParseError(f"line {line_no}: duplicate station_id {station_id!r}")
-            seen.add(station_id)
-            if region_id not in regions:
-                raise ParseError(f"line {line_no}: unknown region_id {region_id!r}")
-            registered = _to_count(row[2], line_no, "registered")
-            ballots_cast = _to_count(row[3], line_no, "ballots_cast")
-            valid_ballots = _to_count(row[4], line_no, "valid_ballots")
-            votes = {
-                party: _to_count(tok, line_no, f"votes_{party}")
-                for party, tok in zip(parties, row[len(FIXED_COLUMNS) :])
-            }
-            records.append(
-                PrecinctRecord(
-                    station_id=station_id,
-                    region_id=region_id,
-                    registered=registered,
-                    ballots_cast=ballots_cast,
-                    valid_ballots=valid_ballots,
-                    votes=votes,
-                )
-            )
-        return Dataset(records=tuple(records), regions=regions, parties=tuple(parties))
-    finally:
-        if owned:
-            stream.close()
+        chunks, line_no, seen = [], 2, set()
+        while True:  # a chunk at a time: the whole file never exists as row lists
+            rows = list(islice(reader, PARSE_CHUNK))
+            chunks.append(_chunk_columns(rows, line_no, len(header), code, parties, seen))
+            line_no += len(rows)
+            if len(rows) < PARSE_CHUNK:
+                break
+    columns = Columns(*map(np.concatenate, zip(*chunks)))
+    return Dataset(regions=regions, parties=tuple(parties), columns=columns)
+
+
+def _chunk_columns(rows: list[list[str]], first_line: int, width: int, code, parties, seen: set[str]):
+    """Column arrays of consecutive precinct rows, the first at `first_line`.
+
+    Raises the ParseError of the first bad line, and for that line the first
+    check it fails in this order: column count, duplicate station id (also
+    against `seen`, which gains the chunk's ids), unknown region, then each
+    count column in file order.
+    """
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    line_nos = np.flatnonzero(lengths) + first_line  # blank lines are skipped but counted
+    rows, lengths = list(compress(rows, lengths)), lengths[lengths > 0]
+    errors = []  # (row, check, message)
+    wrong = np.flatnonzero(lengths != width)
+    n = int(wrong[0]) if len(wrong) else len(rows)
+    if n < len(rows):
+        errors.append((n, 0, f"expected {width} columns, got {lengths[n]}"))
+    tokens = list(zip(*rows[:n])) or [()] * width
+
+    station_ids = list(map(str.strip, tokens[0]))
+    repeat_at = next((i for i, sid in enumerate(station_ids) if sid in seen or seen.add(sid)), None)
+    if repeat_at is not None:
+        errors.append((repeat_at, 1, f"duplicate station_id {station_ids[repeat_at]!r}"))
+    region_ids = list(map(str.strip, tokens[1]))
+    region = np.fromiter(map(code.get, region_ids, repeat(-1)), np.int32, n)
+    if (region < 0).any():
+        i = int(np.argmax(region < 0))
+        errors.append((i, 2, f"unknown region_id {region_ids[i]!r}"))
+
+    names = [*FIXED_COLUMNS[2:], *(VOTE_PREFIX + p for p in parties)]
+    counts = []
+    for check, (column, col_tokens) in enumerate(zip(names, tokens[2:]), start=3):
+        try:
+            values = np.fromiter(map(int, col_tokens), np.int64, n)
+        except (ValueError, OverflowError):
+            values = np.full(n, -1)  # some token is not a count: find the first below
+        if (values < 0).any():
+            i = next(i for i, tok in enumerate(col_tokens) if _count_problem(tok, column))
+            errors.append((i, check, _count_problem(col_tokens[i], column)))
+        counts.append(values)
+    if errors:
+        row, _, message = min(errors)
+        raise ParseError(f"line {line_nos[row]}: {message}")
+    votes = np.array(counts[3:], np.int64).T.reshape(n, len(parties))
+    return *counts[:3], votes, region, np.fromiter(station_ids, object, n)
 
 
 def serialize_dataset(ds: Dataset) -> str:
     """Render a dataset back to the precinct CSV format (parse round-trips)."""
+    c, region_ids = ds.columns, list(ds.regions)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(FIXED_COLUMNS) + [VOTE_PREFIX + p for p in ds.parties])
-    for rec in ds.records:
-        writer.writerow(
-            [
-                rec.station_id,
-                rec.region_id,
-                rec.registered,
-                rec.ballots_cast,
-                rec.valid_ballots,
-            ]
-            + [rec.votes.get(p, 0) for p in ds.parties]
-        )
+    counts = (c.registered, c.ballots_cast, c.valid_ballots, *c.votes.T)
+    region_ids = [region_ids[g] for g in c.region.tolist()]
+    writer.writerows(zip(c.station_ids.tolist(), region_ids, *(col.tolist() for col in counts)))
     return out.getvalue()
 
 
@@ -367,10 +403,10 @@ def serialize_regions(regions: Mapping[str, RegionInfo]) -> str:
 
 
 _VIOLATION_DETAIL = {
-    "V_VOTES_GT_VALID": lambda r: f"votes sum {r.votes_total} > valid ballots {r.valid_ballots}",
-    "V_VALID_GT_CAST": lambda r: f"valid ballots {r.valid_ballots} > ballots cast {r.ballots_cast}",
-    "V_CAST_GT_REG": lambda r: f"ballots cast {r.ballots_cast} > registered {r.registered}",
-    "V_ZERO_REGISTERED": lambda r: "no registered electors",
+    "V_VOTES_GT_VALID": lambda c, i: f"votes sum {c.votes[i].sum()} > valid ballots {c.valid_ballots[i]}",
+    "V_VALID_GT_CAST": lambda c, i: f"valid ballots {c.valid_ballots[i]} > ballots cast {c.ballots_cast[i]}",
+    "V_CAST_GT_REG": lambda c, i: f"ballots cast {c.ballots_cast[i]} > registered {c.registered[i]}",
+    "V_ZERO_REGISTERED": lambda c, i: "no registered electors",
 }
 
 
@@ -382,10 +418,10 @@ def validate(ds: Dataset) -> ValidationReport:
     cols = ds.columns
     report = ValidationReport()
     for i in np.flatnonzero(cols.flagged).tolist():
-        rec = ds.records[i]
         for code, mask in cols.violations.items():
             if mask[i]:
-                report.violations.append(Violation(rec.station_id, code, _VIOLATION_DETAIL[code](rec)))
+                detail = _VIOLATION_DETAIL[code](cols, i)
+                report.violations.append(Violation(cols.station_ids[i], code, detail))
     return report
 
 
@@ -430,5 +466,6 @@ def station_size_distribution(ds: Dataset) -> SizeMeasure:
     total mass = number of records with registered > 0 (zero-registered
     stations cannot be carried by a size measure and are dropped).
     """
-    counts = Counter(rec.registered for rec in ds.records if rec.registered > 0)
-    return SizeMeasure({n: float(c) for n, c in sorted(counts.items())})
+    registered = ds.columns.registered
+    sizes, counts = np.unique(registered[registered > 0], return_counts=True)
+    return SizeMeasure(dict(zip(sizes.tolist(), map(float, counts.tolist()))))

@@ -15,14 +15,13 @@ party's share up to the nearest round-figure target).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from .ingest import Dataset, PrecinctRecord, RegionInfo
+from .ingest import Columns, Dataset, RegionInfo
 
 __all__ = [
     "RegionModel",
@@ -103,31 +102,39 @@ def model_from_config(config: Mapping | str) -> HonestModel:
     return HonestModel(regions=regions)
 
 
-def _largest_remainder(quotas: np.ndarray, target: int) -> np.ndarray:
-    """Integer apportionment: floors plus +1 for the largest remainders."""
+def _philox(seed: int, stream: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, stream], dtype=np.uint64)))
+
+
+def _largest_remainder(quotas: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Integer apportionment of each row of `quotas` to its target: floors
+    plus +1 for the row's largest remainders, ties to the earlier column."""
     floors = np.floor(quotas).astype(np.int64)
-    short = target - int(floors.sum())
-    if short > 0:
-        order = np.argsort(-(quotas - floors), kind="stable")
-        floors[order[:short]] += 1
-    return floors
+    short = targets - floors.sum(axis=1)
+    order = np.argsort(-(quotas - floors), axis=1, kind="stable")
+    rank = np.argsort(order, axis=1)  # each column's place in its row's order
+    return floors + (rank < short[:, None])
 
 
 def generate(model: HonestModel, seed: int) -> Dataset:
     """Sample a full dataset; deterministic and parallel-safe given seed."""
     parties = model.parties
-    records: list[PrecinctRecord] = []
-    regions: dict[str, RegionInfo] = {}
+    regions = {rm.region_id: RegionInfo(region_id=rm.region_id, name=rm.region_id) for rm in model.regions}
+    code = {rid: i for i, rid in enumerate(regions)}
+    counts = [rm.station_count for rm in model.regions]
+    n = sum(counts)
+    registered, cast = np.empty(n, np.int64), np.empty(n, np.int64)
+    votes = np.zeros((n, len(parties)), np.int64)
+    station_ids, start = [], 0
     for r_idx, rm in enumerate(model.regions):
-        regions[rm.region_id] = RegionInfo(region_id=rm.region_id, name=rm.region_id)
         if rm.station_count == 0:
             continue
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed % 2**64, r_idx], dtype=np.uint64))
-        )
+        rng = _philox(seed, r_idx)
         local_parties = list(rm.support)
         u = rng.random((rm.station_count, 2 + len(local_parties)))
-        registered = np.maximum(np.rint(_ppf(rm.size, u[:, 0])).astype(np.int64), 1)
+        rows = slice(start, start + rm.station_count)
+        start += rm.station_count
+        registered[rows] = np.maximum(np.rint(_ppf(rm.size, u[:, 0])).astype(np.int64), 1)
         turnout = np.clip(_ppf(rm.turnout, u[:, 1]), 0.0, 1.0)
         shares = np.column_stack(
             [_ppf(rm.support[p], u[:, 2 + j]) for j, p in enumerate(local_parties)]
@@ -141,21 +148,17 @@ def generate(model: HonestModel, seed: int) -> Dataset:
         over = row_sums > 1.0
         shares[over] /= row_sums[over, None]
 
-        cast = np.rint(turnout * registered).astype(np.int64)
-        for s_idx in range(rm.station_count):
-            quotas = shares[s_idx] * cast[s_idx]
-            votes_arr = _largest_remainder(quotas, int(round(float(quotas.sum()))))
-            records.append(
-                PrecinctRecord(
-                    station_id=f"{rm.region_id}-{s_idx:05d}",
-                    region_id=rm.region_id,
-                    registered=int(registered[s_idx]),
-                    ballots_cast=int(cast[s_idx]),
-                    valid_ballots=int(cast[s_idx]),
-                    votes={p: int(v) for p, v in zip(local_parties, votes_arr)},
-                )
-            )
-    return Dataset(records=tuple(records), regions=regions, parties=parties)
+        cast[rows] = np.rint(turnout * registered[rows]).astype(np.int64)
+        quotas = shares * cast[rows, None]
+        local = _largest_remainder(quotas, np.rint(quotas.sum(axis=1)).astype(np.int64))
+        votes[rows, [parties.index(p) for p in local_parties]] = local
+        station_ids += [f"{rm.region_id}-{s_idx:05d}" for s_idx in range(rm.station_count)]
+    columns = Columns(
+        registered, cast, cast.copy(), votes,
+        region=np.repeat(np.array([code[rm.region_id] for rm in model.regions], np.int32), counts),
+        station_ids=np.fromiter(station_ids, object, n),
+    )
+    return Dataset(regions=regions, parties=parties, columns=columns)
 
 
 @dataclass(frozen=True)
@@ -188,49 +191,24 @@ class FraudInjector:
         return d
 
 
-def _stuff(rec: PrecinctRecord, party: str, rate: float):
-    intended = math.floor(rate * rec.registered)
-    if intended == 0:
-        return rec, "unchanged"
-    add = min(intended, rec.registered - rec.ballots_cast)
-    if add == 0:
-        return rec, "skipped"
-    votes = dict(rec.votes)
-    votes[party] = votes.get(party, 0) + add
-    new = replace(
-        rec, ballots_cast=rec.ballots_cast + add, valid_ballots=rec.valid_ballots + add, votes=votes
-    )
-    return new, "modified"
-
-
-def _draw(rec: PrecinctRecord, party: str, targets: Sequence[float]):
-    if rec.ballots_cast == 0:
-        return rec, "skipped"
-    old = rec.votes.get(party, 0)
-    share = old / rec.ballots_cast
-    candidates = [t for t in sorted(targets) if t >= share]
-    if not candidates:
-        return rec, "skipped"
-    target = candidates[0]
-    new_votes = round(target * rec.ballots_cast)
-    if new_votes > rec.valid_ballots:
-        return rec, "skipped"
-    delta = new_votes - old
-    if delta == 0:
-        return rec, "unchanged"
-    others = {p: v for p, v in rec.votes.items() if p != party}
-    others_total = sum(others.values())
-    reduce = min(delta, others_total)
-    votes = {party: new_votes}
-    if others_total > 0 and reduce > 0:
-        keys = list(others)
-        quotas = np.array([others[k] for k in keys], dtype=float)
-        quotas *= (others_total - reduce) / others_total
-        scaled = _largest_remainder(quotas, others_total - reduce)
-        votes.update({k: int(v) for k, v in zip(keys, scaled)})
-    else:
-        votes.update(others)
-    return replace(rec, votes=votes), "modified"
+def _draw(votes: np.ndarray, cast: np.ndarray, valid: np.ndarray, party: int, targets: np.ndarray):
+    """Snap column `party` of each vote row up to the nearest reachable target
+    share of ballots cast, taking the added votes from the other parties in
+    proportion; returns the new rows and the (modified, skipped) masks."""
+    old = votes[:, party]
+    share = np.divide(old, cast, out=np.full(len(cast), np.inf), where=cast > 0)
+    k = np.searchsorted(targets, share)  # first target >= share; none when cast is 0
+    new = np.rint(targets[np.minimum(k, len(targets) - 1)] * cast).astype(np.int64)
+    skipped = (k == len(targets)) | (new > valid)
+    modified = ~skipped & (new != old)
+    others = votes.copy()
+    others[:, party] = 0
+    total = others.sum(axis=1)
+    keep = total - np.minimum(new - old, total)  # the others keep all but the votes moved
+    scale = modified & (keep < total)
+    others[scale] = _largest_remainder(others[scale] * (keep[scale] / total[scale])[:, None], keep[scale])
+    others[:, party] = new
+    return np.where(modified[:, None], others, votes), modified, skipped
 
 
 def inject(ds: Dataset, injector: FraudInjector, seed: int) -> tuple[Dataset, dict]:
@@ -242,31 +220,23 @@ def inject(ds: Dataset, injector: FraudInjector, seed: int) -> tuple[Dataset, di
     """
     if injector.party not in ds.parties:
         raise ValueError(f"unknown party {injector.party!r}")
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64))
-    )
-    hits = rng.random(len(ds.records)) < injector.affected
-
-    modified: list[str] = []
-    skipped: list[str] = []
-    records: list[PrecinctRecord] = []
-    for rec, hit in zip(ds.records, hits):
-        if not hit:
-            records.append(rec)
-            continue
-        if injector.kind == "ballot_stuffing":
-            new, status = _stuff(rec, injector.party, injector.rate)
-        else:
-            new, status = _draw(rec, injector.party, injector.targets)
-        records.append(new)
-        if status == "modified":
-            modified.append(rec.station_id)
-        elif status == "skipped":
-            skipped.append(rec.station_id)
-
+    hits = np.flatnonzero(_philox(seed, 0).random(len(ds)) < injector.affected)
+    party, c = ds.parties.index(injector.party), ds.columns
+    cast, valid, votes = c.ballots_cast.copy(), c.valid_ballots.copy(), c.votes.copy()
+    if injector.kind == "ballot_stuffing":
+        intended = np.floor(injector.rate * c.registered[hits]).astype(np.int64)
+        add = np.minimum(intended, c.registered[hits] - cast[hits])
+        modified, skipped = (intended > 0) & (add != 0), (intended > 0) & (add == 0)
+        rows, add = hits[modified], add[modified]
+        cast[rows] += add
+        valid[rows] += add
+        votes[rows, party] += add
+    else:
+        targets = np.array(sorted(injector.targets))
+        votes[hits], modified, skipped = _draw(votes[hits], cast[hits], valid[hits], party, targets)
     manifest = {
-        "modified": modified,
-        "skipped": skipped,
+        "modified": c.station_ids[hits[modified]].tolist(),
+        "skipped": c.station_ids[hits[skipped]].tolist(),
         "injector": injector.to_dict() | {"seed": seed},
     }
-    return Dataset(records=tuple(records), regions=ds.regions, parties=ds.parties), manifest
+    return replace(ds, columns=replace(c, ballots_cast=cast, valid_ballots=valid, votes=votes)), manifest

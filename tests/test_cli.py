@@ -141,6 +141,13 @@ def test_cloud_svg(workspace, tmp_path):
     assert "<circle" in out.read_text()
 
 
+def test_unequal_scales_flag_is_gone(workspace, capsys):
+    for command in ("cloud", "compress"):
+        with pytest.raises(SystemExit) as exc:
+            run([command, *data_args(workspace), "--party", "UR", "--unequal-scales"])
+        assert exc.value.code == 2
+
+
 def test_modes(workspace, capsys):
     rc = run(["modes", *data_args(workspace), "--party", "UR", "--cell", "0.05"])
     assert rc == 0
@@ -280,6 +287,18 @@ def test_data_error_returns_one(tmp_path, capsys):
     rc = run(["validate", "--input", tmp_path / "nope.csv", "--regions", tmp_path / "nope2.csv"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "hist"])
+def test_count_beyond_int64_returns_one(workspace, capsys, command):
+    data = workspace / "data.csv"
+    header, first, *rest = data.read_text().splitlines(keepends=True)
+    fields = first.split(",")
+    fields[2] = "100000000000000000000"  # registered
+    data.write_text("".join([header, ",".join(fields), *rest]))
+    args = ["--party", "UR"] if command == "hist" else []
+    assert run([command, *data_args(workspace), *args]) == 1
+    assert "error: line 2: registered value 100000000000000000000 exceeds" in capsys.readouterr().err
 
 
 def test_usage_error_returns_two(capsys):

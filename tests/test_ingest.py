@@ -180,6 +180,19 @@ def test_parse_errors(text, message):
         parse_dataset(io.StringIO(text), tiny_regions())
 
 
+@pytest.mark.parametrize("value", ["9223372036854775808", "100000000000000000000"])
+def test_count_beyond_int64_is_a_parse_error(value):
+    text = (
+        "station_id,region_id,registered,ballots_cast,valid_ballots,votes_P\n"
+        "s1,a,10,5,5,2\n"
+        f"s2,a,{value},5,5,2\n"
+    )
+    with pytest.raises(ParseError, match=f"line 3: registered value {value} exceeds the int64 maximum"):
+        parse_dataset(io.StringIO(text), tiny_regions())
+    ok = parse_dataset(io.StringIO(text.replace(value, "9223372036854775807")), tiny_regions())
+    assert ok.columns.registered[1] == 2**63 - 1
+
+
 def test_parse_error_names_line():
     text = (
         "station_id,region_id,registered,ballots_cast,valid_ballots,votes_P\n"
