@@ -226,7 +226,7 @@ def inject(ds: Dataset, injector: FraudInjector, seed: int) -> tuple[Dataset, di
     if injector.kind == "ballot_stuffing":
         intended = np.floor(injector.rate * c.registered[hits]).astype(np.int64)
         add = np.minimum(intended, c.registered[hits] - cast[hits])
-        modified, skipped = (intended > 0) & (add != 0), (intended > 0) & (add == 0)
+        modified, skipped = add > 0, (intended > 0) & (add <= 0)  # no headroom: skip, never remove
         rows, add = hits[modified], add[modified]
         cast[rows] += add
         valid[rows] += add

@@ -151,8 +151,8 @@ GOLDEN = {
     "validate": "e78d6eeccb10b98cded9eb0d5955daf8e312881aa1266989a1b9bdecf4c5f881",
     "inject-drawing.csv": "2570710134b3b42e8abcf0ed8472ed70ae3ad33cce6ad93ef98f1bbd91472f99",
     "inject-drawing.manifest": "b898cccad5a15b03d6aaf1f4d5b2cafe30cbad723d64af2baed3eb32ebc57a7e",
-    "inject-stuffing.csv": "504ec494d3c6fea9a4b30f30639716d98cf4eacd4021a4574e6c11da82256a00",
-    "inject-stuffing.manifest": "ffb0262bcb52c59ed1f07d726990f1192e5f6df25ba46647afc568e8f0f3cb6e",
+    "inject-stuffing.csv": "c7a6e61a4c6dd2a81a8802407e75d2d37ba132ed168e106ca6b32dc40f8eadd5",
+    "inject-stuffing.manifest": "717738ee0a5ed1bae38210a180b473f92206575db09e06ef62c17a2958e419ae",
 }
 
 

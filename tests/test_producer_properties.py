@@ -1,17 +1,20 @@
 """Column-writing producers against plain per-row references.
 
-`parse_dataset` builds its columns in bulk, a chunk of rows at a time, and
-`synth._largest_remainder` apportions a whole matrix at once.  The
-references below are the per-row versions: a line-by-line parser that raises
-on the first bad line, and a one-row largest remainder.  Random CSVs, valid
-and malformed, must give an equal dataset or the identical ParseError
-message.
+`parse_dataset` builds its columns in bulk, a chunk of rows at a time,
+`synth._largest_remainder` apportions a whole matrix at once, and `inject`
+stuffs or draws all hit stations in array operations.  The references below
+are the per-row versions: a line-by-line parser that raises on the first bad
+line, a one-row largest remainder, and one-station injectors.  Random CSVs,
+valid and malformed, must give an equal dataset or the identical ParseError
+message; random datasets must give equal injected records and manifests.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 
 from urnstats import ingest
 from urnstats.ingest import Dataset, ParseError, PrecinctRecord, parse_dataset
-from urnstats.synth import _largest_remainder
+from urnstats.synth import FraudInjector, _largest_remainder, inject
 
 from conftest import tiny_regions
 
@@ -138,3 +141,104 @@ def test_largest_remainder_matches_per_row_reference(counts, scale):
     targets = np.rint(quotas.sum(axis=1)).astype(np.int64)
     expected = [reference_largest_remainder(q, int(t)) for q, t in zip(quotas, targets)]
     assert np.array_equal(_largest_remainder(quotas, targets), np.array(expected).reshape(len(counts), 3))
+
+
+def reference_stuff(rec, party, rate):
+    intended = math.floor(rate * rec.registered)
+    if intended == 0:
+        return rec, "unchanged"
+    add = min(intended, rec.registered - rec.ballots_cast)
+    if add <= 0:  # no headroom: ballots are never removed
+        return rec, "skipped"
+    votes = dict(rec.votes)
+    votes[party] = votes.get(party, 0) + add
+    new = replace(
+        rec, ballots_cast=rec.ballots_cast + add, valid_ballots=rec.valid_ballots + add, votes=votes
+    )
+    return new, "modified"
+
+
+def reference_draw(rec, party, targets):
+    if rec.ballots_cast == 0:
+        return rec, "skipped"
+    old = rec.votes.get(party, 0)
+    candidates = [t for t in sorted(targets) if t >= old / rec.ballots_cast]
+    if not candidates:
+        return rec, "skipped"
+    new_votes = round(candidates[0] * rec.ballots_cast)
+    if new_votes > rec.valid_ballots:
+        return rec, "skipped"
+    delta = new_votes - old
+    if delta == 0:
+        return rec, "unchanged"
+    others = {p: v for p, v in rec.votes.items() if p != party}
+    others_total = sum(others.values())
+    reduce = min(delta, others_total)
+    votes = {party: new_votes}
+    if others_total > 0 and reduce > 0:
+        quotas = np.array(list(others.values()), dtype=float)
+        quotas *= (others_total - reduce) / others_total
+        scaled = reference_largest_remainder(quotas, others_total - reduce)
+        votes.update({k: int(v) for k, v in zip(others, scaled)})
+    else:
+        votes.update(others)
+    return replace(rec, votes=votes), "modified"
+
+
+def reference_inject(ds, injector, seed):
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64)))
+    hits = rng.random(len(ds)) < injector.affected
+    records, modified, skipped = [], [], []
+    for rec, hit in zip(ds.records, hits):
+        if hit:
+            if injector.kind == "ballot_stuffing":
+                rec, status = reference_stuff(rec, injector.party, injector.rate)
+            else:
+                rec, status = reference_draw(rec, injector.party, injector.targets)
+            {"modified": modified, "skipped": skipped}.get(status, []).append(rec.station_id)
+        records.append(rec)
+    return Dataset(records=tuple(records), regions=ds.regions, parties=ds.parties), modified, skipped
+
+
+@st.composite
+def injected_datasets(draw):
+    """Up to 30 stations; counts only loosely ordered, so ballots cast above
+    registered, zero cast and votes above valid all occur, and a party can be
+    missing from a record (it reads 0)."""
+    parties = ("P", "Q", "R")
+    records = []
+    for i in range(draw(st.integers(0, 30))):
+        registered = draw(st.integers(0, 400))
+        cast = draw(st.integers(0, registered + 40))
+        valid = draw(st.integers(0, cast + 5))
+        present = draw(st.lists(st.sampled_from(parties), unique=True))
+        votes = {p: draw(st.integers(0, max(valid, 1))) for p in parties if p in present}
+        region = draw(st.sampled_from(("a", "b")))
+        records.append(PrecinctRecord(f"s{i}", region, registered, cast, valid, votes))
+    return Dataset(records=tuple(records), regions=tiny_regions(), parties=parties)
+
+
+injectors = st.one_of(
+    st.builds(
+        FraudInjector, kind=st.just("ballot_stuffing"), party=st.sampled_from(("P", "Q", "R")),
+        affected=st.sampled_from((0.0, 0.3, 0.7, 1.0)), rate=st.sampled_from((0.0, 0.004, 0.1, 0.5, 3.0)),
+    ),
+    st.builds(
+        FraudInjector, kind=st.just("result_drawing"), party=st.sampled_from(("P", "Q", "R")),
+        affected=st.sampled_from((0.0, 0.3, 0.7, 1.0)),
+        targets=st.lists(st.sampled_from((0.05, 1 / 3, 0.5, 0.65, 0.75, 1.0)), min_size=1, max_size=3)
+        .map(tuple),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ds=injected_datasets(), injector=injectors, seed=st.integers(0, 2**64 - 1))
+def test_inject_matches_reference(ds, injector, seed):
+    expected, modified, skipped = reference_inject(ds, injector, seed)
+    out, manifest = inject(ds, injector, seed)
+    assert out == expected
+    assert out.records == expected.records
+    assert manifest["modified"] == modified
+    assert manifest["skipped"] == skipped
+    assert manifest["injector"] == injector.to_dict() | {"seed": seed}

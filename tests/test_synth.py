@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from urnstats.ingest import serialize_dataset, validate
+from urnstats.ingest import Dataset, PrecinctRecord, serialize_dataset, validate
 from urnstats.synth import (
     FraudInjector,
     HonestModel,
@@ -15,7 +15,7 @@ from urnstats.synth import (
     model_from_config,
 )
 
-from conftest import heterogeneous_model, homogeneous_model
+from conftest import heterogeneous_model, homogeneous_model, tiny_regions
 
 
 # ---------------------------------------------------------------- models
@@ -186,6 +186,29 @@ def test_stuffing_caps_at_registered():
     for rec in out.records:
         assert rec.ballots_cast <= rec.registered
     assert validate(out).counts == {}
+
+
+def test_stuffing_never_lowers_or_negates_a_count():
+    """Stations with ballots cast at or above registered electors have no
+    headroom: stuffing skips them rather than removing ballots."""
+    recs = (
+        PrecinctRecord("over", "a", 100, 130, 120, {"UR": 10, "OPP": 100}),
+        PrecinctRecord("full", "a", 100, 100, 100, {"UR": 40, "OPP": 60}),
+        PrecinctRecord("room", "a", 100, 50, 50, {"UR": 20, "OPP": 30}),
+        PrecinctRecord("empty", "a", 0, 0, 0, {}),
+    )
+    ds = Dataset(records=recs, regions=tiny_regions(), parties=("UR", "OPP"))
+    for rate in (0.0, 0.1, 0.5, 5.0):
+        out, manifest = inject(
+            ds, FraudInjector(kind="ballot_stuffing", party="UR", affected=1.0, rate=rate), seed=0
+        )
+        for old, new in zip(ds.records, out.records):
+            for field in ("registered", "ballots_cast", "valid_ballots"):
+                assert getattr(old, field) <= getattr(new, field)
+            assert all(old.votes[p] <= v for p, v in new.votes.items())
+        assert (out.columns.votes >= 0).all()
+        assert manifest["modified"] == ([] if rate == 0 else ["room"])
+        assert manifest["skipped"] == ([] if rate == 0 else ["over", "full"])
 
 
 def test_drawing_places_shares_near_targets():
