@@ -151,10 +151,8 @@ class Histogram:
         )
 
     def to_csv(self) -> str:
-        lines = ["lo,hi,weight"]
-        for lo, hi, w in zip(self.edges[:-1], self.edges[1:], self.weights):
-            lines.append(f"{lo!r},{hi!r},{w!r}")
-        return "\n".join(lines) + "\n"
+        rows = zip(self.edges[:-1].tolist(), self.edges[1:].tolist(), self.weights.tolist())
+        return "lo,hi,weight\n" + "".join(f"{lo!r},{hi!r},{w!r}\n" for lo, hi, w in rows)
 
 
 def _fill(

@@ -120,7 +120,7 @@ GOLDEN = {
     "cloud.json": "a79538ce81f05eb86a8aa29359dcc5a6434f1fcd979143ea453da7ab04af8592",
     "cloud.svg": "1e2dd7f5ef94d0577f8dad682abf66d1dd9ec40ee8a57f9da5488221dc71c263",
     "coinflip-centered.json": "29cf58b91b21702f28321043c499ffa5b35c01f02d3e2dd56092c1bc6c3b5bcd",
-    "coinflip.csv": "52f7848485905489854bb139cf889e4b29cd177fe924531514df28726c51cf7e",
+    "coinflip.csv": "81956c2cea7864d3ba34a364e7909c9670de68d81722166e9dcb4510e271bde2",
     "coinflip.json": "9db1fa0f0082b26ff4098944fa0633533e5b402b624b7bba28aecb8a031472e9",
     "coinflip.svg": "3afc90c12b23b7cb744dc10fee5a9d1d0e1099de248a882cd9b81a8bd9b904d5",
     "compress-excl.csv": "c9ae2aa47ea643c5d40345596eb43f3ce098f09189accd8d4a20843142953985",
@@ -134,7 +134,7 @@ GOLDEN = {
     "dents-votes": "ef4afde7170e27acfef5ea4f4d5a76b126e7a866155517ddb217fce0a99d0658",
     "hist-electors-valid.json": "e4ef5de51a8ddc8674a0ba9237e909748352db6bcfdc089f151dec455f9debfa",
     "hist-votes.json": "e2483b46b066f5bf293937d56b09773ec60fec6661d34e821bfaccbf9c8d126a",
-    "hist.csv": "5fb05e00708d1b73157c26e3fde88f895eaeb79964a6dc1351bd4d59ac2f3c2e",
+    "hist.csv": "c86e92d7e9abb0c2f58414951fa6269f695c530e5e5421c6e7e8a1b89f280b1c",
     "hist.json": "75898631839f325abbe6f660f42e80c7f8a4eb0cd812e4821c645c520301854c",
     "hist.svg": "a22254a5e9243fad8e034aa4a310124e598a8bccc9f97171eea677fa60f617ee",
     "mixture": "bd85762b564b69afcce60f56f829522ab0e3b71aa1ffd843d499fc018375ea37",
@@ -145,7 +145,7 @@ GOLDEN = {
     "region-report": "81310faf0c62f2b66984db4cf0d1e1f51d40c004f54949df773c63e0768da429",
     "region-report-opp": "6654deec56e5c201c492d785df1b061afaf83b6be910077f51ec85d9e4a76071",
     "turnout-electors.json": "8f02a7950c0312e08b3414984e3386345efaa54aade3b1a8d3f8375ced21f0cd",
-    "turnout.csv": "20e0a9c0b5d8f982a2719e5ca197f6ea9a75fbf68966481283c52a270c7d7aec",
+    "turnout.csv": "39855ce5ea46e26ce4bcfbc96564eae4fd459840d01a18c517a28521585bdcf3",
     "turnout.json": "534376ea4585a299f988edef3f6c7720fb5786d5854ee5136e472dd52c76f632",
     "turnout.svg": "9b0348070a48d6dcf68cb973ac1170e6aff8b6471d3547bb682d44e8f15fd784",
     "validate": "e78d6eeccb10b98cded9eb0d5955daf8e312881aa1266989a1b9bdecf4c5f881",
@@ -181,6 +181,7 @@ def test_input_hash(inputs):
 def test_cli_output_unchanged(inputs, tmp_path, name):
     out = tmp_path / "out"
     _run(inputs, CASES[name], out)
+    assert b"np." not in out.read_bytes()  # numbers are written as plain Python numbers
     assert _sha(out) == GOLDEN[name]
 
 
@@ -188,5 +189,6 @@ def test_cli_output_unchanged(inputs, tmp_path, name):
 def test_inject_output_unchanged(inputs, tmp_path, kind):
     out, manifest = tmp_path / "out.csv", tmp_path / "manifest.json"
     _run(inputs, ["inject", *INJECT[kind], "--manifest", str(manifest)], out)
+    assert b"np." not in out.read_bytes()
     assert _sha(out) == GOLDEN[f"inject-{kind}.csv"]
     assert _sha(manifest) == GOLDEN[f"inject-{kind}.manifest"]
