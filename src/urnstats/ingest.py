@@ -146,7 +146,7 @@ class Dataset:
     def __eq__(self, other):
         if not isinstance(other, Dataset) or (self.regions, self.parties) != (other.regions, other.parties):
             return False
-        return all(map(np.array_equal, self.columns.arrays(), other.columns.arrays()))
+        return all(map(np.array_equal, self.columns._arrays(), other.columns._arrays()))
 
     @cached_property
     def records(self) -> tuple[PrecinctRecord, ...]:
@@ -172,10 +172,10 @@ class Columns:
     station_ids: np.ndarray  # object array of str
 
     def __post_init__(self):  # datasets share unchanged columns, so none may change
-        for array in self.arrays():
+        for array in self._arrays():
             array.flags.writeable = False
 
-    def arrays(self) -> list[np.ndarray]:
+    def _arrays(self) -> list[np.ndarray]:
         return [getattr(self, f.name) for f in fields(self)]
 
     @cached_property
