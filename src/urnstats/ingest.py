@@ -138,7 +138,7 @@ class Dataset:
         bad_region = n and not 0 <= columns.region.min() <= columns.region.max() < len(regions)
         if columns.votes.shape != (n, len(parties)) or bad_region:
             raise ValueError("columns do not match the parties or regions")
-        self.__dict__.update(regions=regions, parties=parties, columns=columns)  # frozen: no setattr
+        self.__dict__.update(regions=regions, parties=parties, columns=columns)  # frozen: skip __setattr__
 
     def __len__(self) -> int:
         return len(self.columns.registered)
