@@ -15,13 +15,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import warnings
 from collections import Counter
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import IO, Callable, ContextManager, Mapping
+from typing import IO, Callable, Mapping
 
 import numpy as np
 
@@ -243,11 +243,31 @@ class ValidationReport:
         )
 
 
-def _open_text(source: str | Path | IO[str]) -> ContextManager[IO[str]]:
-    """A path opened for reading, or a caller's stream, left open afterwards."""
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8-sig", newline="")
-    return nullcontext(source)
+def _read_text(source: str | Path | IO[str], where: str) -> str:
+    """The whole text of a path (UTF-8, optional BOM) or of a caller's stream.
+
+    Bytes that are not UTF-8 are a ParseError naming their line, after `where`.
+    """
+    if not isinstance(source, (str, Path)):
+        return source.read()
+    with open(source, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1  # exc.object: data after any BOM
+        reason = f"{exc.reason}, byte 0x{exc.object[exc.start]:02x}"
+        raise ParseError(f"{where}line {line}: invalid UTF-8 ({reason})") from None
+
+
+def _csv_rows(text: str):
+    """The csv rows of `text`; a csv.Error (such as a field over the field
+    limit) ends them as the last item instead of being raised, so that the
+    rows before it can be checked first."""
+    try:
+        yield from csv.reader(io.StringIO(text, newline=""))
+    except csv.Error as exc:
+        yield exc
 
 
 def _count_problem(token: str, column: str) -> str | None:
@@ -266,33 +286,36 @@ def _count_problem(token: str, column: str) -> str | None:
 
 def parse_regions(source: str | Path | IO[str]) -> dict[str, RegionInfo]:
     """Parse a region registry CSV into a region_id -> RegionInfo mapping."""
-    with _open_text(source) as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != REGISTRY_COLUMNS:
-            raise ParseError("region registry: bad or missing header row")
-        regions: dict[str, RegionInfo] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ParseError(f"region registry line {line_no}: expected 5 columns, got {len(row)}")
-            region_id, name, status, exceptional, geo_tag = (c.strip() for c in row)
-            if region_id in regions:
-                raise ParseError(f"region registry line {line_no}: duplicate region {region_id!r}")
-            if exceptional not in ("0", "1"):
-                raise ParseError(f"region registry line {line_no}: exceptional must be 0 or 1")
-            try:
-                regions[region_id] = RegionInfo(
-                    region_id=region_id,
-                    name=name,
-                    status=status,
-                    exceptional=exceptional == "1",
-                    geo_tag=geo_tag or None,
-                )
-            except ValueError as exc:
-                raise ParseError(f"region registry line {line_no}: {exc}") from None
-        return regions
+    rows = _csv_rows(_read_text(source, "region registry "))
+    header = next(rows, None)
+    if isinstance(header, csv.Error):
+        raise ParseError(f"region registry line 1: {header}")
+    if header is None or tuple(h.strip() for h in header) != REGISTRY_COLUMNS:
+        raise ParseError("region registry: bad or missing header row")
+    regions: dict[str, RegionInfo] = {}
+    for line_no, row in enumerate(rows, start=2):
+        if isinstance(row, csv.Error):
+            raise ParseError(f"region registry line {line_no}: {row}")
+        if not row:
+            continue
+        if len(row) != 5:
+            raise ParseError(f"region registry line {line_no}: expected 5 columns, got {len(row)}")
+        region_id, name, status, exceptional, geo_tag = (c.strip() for c in row)
+        if region_id in regions:
+            raise ParseError(f"region registry line {line_no}: duplicate region {region_id!r}")
+        if exceptional not in ("0", "1"):
+            raise ParseError(f"region registry line {line_no}: exceptional must be 0 or 1")
+        try:
+            regions[region_id] = RegionInfo(
+                region_id=region_id,
+                name=name,
+                status=status,
+                exceptional=exceptional == "1",
+                geo_tag=geo_tag or None,
+            )
+        except ValueError as exc:
+            raise ParseError(f"region registry line {line_no}: {exc}") from None
+    return regions
 
 
 def parse_dataset(
@@ -306,31 +329,71 @@ def parse_dataset(
     """
     regions = dict(registry) if isinstance(registry, Mapping) else parse_regions(registry)
     code = {rid: i for i, rid in enumerate(regions)}
-    with _open_text(source) as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("precinct file: missing header row")
-        header = [h.strip() for h in header]
-        if tuple(header[: len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
-            raise ParseError(f"precinct file: header must start with {','.join(FIXED_COLUMNS)}")
-        parties = []
-        for col in header[len(FIXED_COLUMNS) :]:
-            if not col.startswith(VOTE_PREFIX) or len(col) == len(VOTE_PREFIX):
-                raise ParseError(f"precinct file: bad vote column name {col!r}")
-            parties.append(col[len(VOTE_PREFIX) :])
-        if len(set(parties)) != len(parties):
-            raise ParseError("precinct file: duplicate party columns")
+    text = _read_text(source, "")
+    header = next(_csv_rows(text), None)  # a reader of its own: its copy of the text is freed now
+    if isinstance(header, csv.Error):
+        raise ParseError(f"line 1: {header}")
+    if header is None:
+        raise ParseError("precinct file: missing header row")
+    header = [h.strip() for h in header]
+    if tuple(header[: len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
+        raise ParseError(f"precinct file: header must start with {','.join(FIXED_COLUMNS)}")
+    parties = []
+    for col in header[len(FIXED_COLUMNS) :]:
+        if not col.startswith(VOTE_PREFIX) or len(col) == len(VOTE_PREFIX):
+            raise ParseError(f"precinct file: bad vote column name {col!r}")
+        parties.append(col[len(VOTE_PREFIX) :])
+    if len(set(parties)) != len(parties):
+        raise ParseError("precinct file: duplicate party columns")
 
-        chunks, line_no, seen = [], 2, set()
+    columns = _plain_columns(text, len(header), code)
+    if columns is None:  # not plain, or some line is bad: the csv path finds and names it
+        rows, chunks, line_no, seen = islice(_csv_rows(text), 1, None), [], 2, set()
         while True:  # a chunk at a time: the whole file never exists as row lists
-            rows = list(islice(reader, PARSE_CHUNK))
-            chunks.append(_chunk_columns(rows, line_no, len(header), code, parties, seen))
-            line_no += len(rows)
-            if len(rows) < PARSE_CHUNK:
+            chunk = list(islice(rows, PARSE_CHUNK))
+            error = chunk.pop() if chunk and isinstance(chunk[-1], csv.Error) else None
+            chunks.append(_chunk_columns(chunk, line_no, len(header), code, parties, seen))
+            line_no += len(chunk)
+            if error is not None:
+                raise ParseError(f"line {line_no}: {error}")
+            if len(chunk) < PARSE_CHUNK:
                 break
-    columns = Columns(*map(np.concatenate, zip(*chunks)))
+        columns = Columns(*map(np.concatenate, zip(*chunks)))
     return Dataset(regions=regions, parties=tuple(parties), columns=columns)
+
+
+def _plain_columns(text: str, width: int, code: Mapping[str, int]) -> Columns | None:
+    """The columns of a plain, valid precinct CSV, read by numpy's C parser.
+
+    Plain means no quote, CR or NUL, no blank line, no line longer than the
+    csv field limit and exactly `width` fields on every row.  Returns None
+    (and the csv path then runs) when the text is not plain or any row fails
+    a check; otherwise the columns equal those of the csv path.  The
+    `comments=None` C reader accepts no count token that int() rejects and
+    reads none to a different value.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")[1:]  # below the header
+    if lines and not lines[-1]:
+        lines.pop()
+    if not lines or "" in lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    row_type = np.dtype([("station_id", object), ("region_id", object), ("counts", np.int64, (width - 2,))])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # older numpy reads "1.0" as 1, warning
+            table = np.loadtxt(lines, dtype=row_type, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, OverflowError, DeprecationWarning):
+        return None
+    n, counts = len(table), table["counts"]
+    station_ids = list(map(str.strip, table["station_id"].tolist()))
+    region = np.fromiter(map(code.get, map(str.strip, table["region_id"].tolist()), repeat(-1)), np.int32, n)
+    if (counts < 0).any() or (region < 0).any() or len(set(station_ids)) < n:
+        return None
+    return Columns(
+        *counts[:, :3].T.copy(), counts[:, 3:].copy(), region, np.fromiter(station_ids, object, n)
+    )
 
 
 def _chunk_columns(rows: list[list[str]], first_line: int, width: int, code, parties, seen: set[str]):
@@ -365,7 +428,7 @@ def _chunk_columns(rows: list[list[str]], first_line: int, width: int, code, par
     counts = []
     for check, (column, col_tokens) in enumerate(zip(names, tokens[2:]), start=3):
         try:
-            values = np.fromiter(map(int, col_tokens), np.int64, n)
+            values = np.fromiter(map(int, map(str.strip, col_tokens)), np.int64, n)
         except (ValueError, OverflowError):
             values = np.full(n, -1)  # some token is not a count: find the first below
         if (values < 0).any():

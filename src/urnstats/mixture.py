@@ -27,6 +27,8 @@ __all__ = [
     "gaussian_sum_modes",
 ]
 
+KOLMOGOROV_BLOCK = 256  # grid points per mixture_cdf call in kolmogorov_gaussian_distance
+
 
 @dataclass(frozen=True)
 class SizeMeasure:
@@ -131,7 +133,11 @@ def kolmogorov_gaussian_distance(mu: SizeMeasure, p: float, grid_points: int = 4
     smax = math.sqrt(float(np.max(s2)))
     xs = np.linspace(p - 10.0 * smax, p + 10.0 * smax, grid_points)
     fitted = norm.cdf((xs - p) / math.sqrt(var))
-    return float(np.max(np.abs(mixture_cdf(mu, p, xs) - fitted)))
+    distance = 0.0
+    for start in range(0, grid_points, KOLMOGOROV_BLOCK):  # bounds the (points, atoms) temporaries
+        block = slice(start, start + KOLMOGOROV_BLOCK)
+        distance = max(distance, float(np.max(np.abs(mixture_cdf(mu, p, xs[block]) - fitted[block]))))
+    return distance
 
 
 @dataclass

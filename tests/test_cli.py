@@ -301,6 +301,21 @@ def test_count_beyond_int64_returns_one(workspace, capsys, command):
     assert "error: line 2: registered value 100000000000000000000 exceeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "second_id, message",
+    [
+        (b"x" * 200_000, "error: line 3: field larger than field limit (131072)"),
+        (b"s\xff", "error: line 3: invalid UTF-8 (invalid start byte, byte 0xff)"),
+    ],
+)
+def test_unreadable_row_returns_one(workspace, capsys, second_id, message):
+    data = workspace / "data.csv"
+    header, first, second, *rest = data.read_bytes().splitlines(keepends=True)
+    data.write_bytes(b"".join([header, first, second_id + second[second.index(b","):], *rest]))
+    assert run(["validate", *data_args(workspace)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_usage_error_returns_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hist", "--party", "UR"])  # missing required --input/--regions

@@ -1,11 +1,14 @@
 """Parsing, serialization round-trips, and count-identity validation."""
 
 import io
+import re
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urnstats import ingest
 from urnstats.ingest import (
     Dataset,
     ParseError,
@@ -193,6 +196,94 @@ def test_count_beyond_int64_is_a_parse_error(value):
     assert ok.columns.registered[1] == 2**63 - 1
 
 
+HEADER_P = "station_id,region_id,registered,ballots_cast,valid_ballots,votes_P\n"
+LONG_ID = "x" * 200_000  # over the csv module's default field limit of 131072
+
+
+def test_count_with_surrounding_separator_characters_is_read():
+    """`str.strip` removes U+001C..U+001F but `int` does not accept them; the
+    csv path used to find no bad token after `int` failed and raise StopIteration."""
+    ds = parse_dataset(io.StringIO(HEADER_P + "s1,a,\x1c10,5\x1f,5,2\n"), tiny_regions())
+    assert ds.columns.registered.tolist() == [10]
+    assert ds.columns.ballots_cast.tolist() == [5]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (f"s1,a,10,5,5,2\n{LONG_ID},a,10,5,5,2\n", "line 3: field larger than field limit (131072)"),
+        (f"s1,a,10,5,5,2\ns2,a,{LONG_ID},5,5,2\n", "line 3: field larger than field limit (131072)"),
+        (f'"{LONG_ID}",a,10,5,5,2\n', "line 2: field larger than field limit (131072)"),
+        # rows read before the over-long field are checked first
+        (f"s1,a,10,5,5,x\n{LONG_ID},a,10,5,5,2\n", "line 2: non-integer votes_P value 'x'"),
+    ],
+)
+def test_field_over_the_csv_limit_is_a_parse_error(rows, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_dataset(io.StringIO(HEADER_P + rows), tiny_regions())
+
+
+def test_field_over_the_csv_limit_in_header_or_registry_is_a_parse_error():
+    with pytest.raises(ParseError, match="^line 1: field larger than field limit"):
+        parse_dataset(io.StringIO(HEADER_P.rstrip() + "," + LONG_ID + "\n"), tiny_regions())
+    registry = f"region_id,name,status,exceptional,geo_tag\na,{LONG_ID},ordinary,0,\n"
+    with pytest.raises(ParseError, match="^region registry line 2: field larger than field limit"):
+        parse_regions(io.StringIO(registry))
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_invalid_utf8_is_a_parse_error_naming_the_line(tmp_path, bom):
+    data, registry = tmp_path / "data.csv", tmp_path / "regions.csv"
+    registry.write_text(serialize_regions(tiny_regions()), encoding="utf-8")
+    data.write_bytes(bom + HEADER_P.encode() + b"s1,a,10,5,5,2\ns\xff2,a,10,5,5,2\n")
+    with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 \(invalid start byte, byte 0xff\)$"):
+        parse_dataset(data, registry)
+    registry.write_bytes(b"region_id,name,status,exceptional,geo_tag\na,\xc3,ordinary,0,\n")
+    with pytest.raises(ParseError, match=r"^region registry line 2: invalid UTF-8"):
+        parse_regions(registry)
+
+
+def test_plain_csv_never_reaches_the_csv_path(tmp_path, tiny_ds):
+    """A plain file is read by numpy's route alone, from a stream or a path."""
+    text = serialize_dataset(tiny_ds).replace(",a,", ", a ,").replace("\nx2,", "\n x2 ,")  # both stripped
+    (tmp_path / "data.csv").write_text(text, encoding="utf-8")
+    with patch.object(ingest, "_chunk_columns", side_effect=AssertionError("csv path used")):
+        assert parse_dataset(io.StringIO(text), tiny_ds.regions) == tiny_ds
+        assert parse_dataset(tmp_path / "data.csv", tiny_ds.regions) == tiny_ds
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: t.replace("x1,", '"x1",'),  # quoted field
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace("\n", "\r"),
+        lambda t: t.replace("\nx2", "\n\nx2"),  # blank line
+        lambda t: t.replace(",1000,", ",1_000,"),  # int() reads it, numpy does not
+        lambda t: t.replace(",20,", ",٢٠,"),
+    ],
+)
+def test_csv_path_reads_what_the_plain_route_declines(tiny_ds, edit):
+    text = edit(serialize_dataset(tiny_ds))
+    assert text != serialize_dataset(tiny_ds)
+    with patch.object(ingest, "_chunk_columns", wraps=ingest._chunk_columns) as chunk_columns:
+        assert parse_dataset(io.StringIO(text), tiny_ds.regions) == tiny_ds
+    assert chunk_columns.called
+
+
+def test_nul_goes_to_the_csv_path(tiny_ds):
+    """Before Python 3.11 the csv module refuses NUL, so numpy's route must too."""
+    text = serialize_dataset(tiny_ds).replace("x1,", "x\x001,")
+    with patch.object(ingest, "_chunk_columns", wraps=ingest._chunk_columns) as chunk_columns:
+        try:
+            ds = parse_dataset(io.StringIO(text), tiny_ds.regions)
+        except ParseError as exc:
+            assert str(exc) == "line 2: line contains NUL"
+        else:
+            assert ds.columns.station_ids[0] == "x\x001"
+    assert chunk_columns.called
+
+
 def test_parse_error_names_line():
     text = (
         "station_id,region_id,registered,ballots_cast,valid_ballots,votes_P\n"
@@ -288,3 +379,46 @@ def test_round_trip_randomized(ds):
     assert back.records == ds.records
     assert back.parties == ds.parties
     assert back.regions == ds.regions
+
+
+# ------------------------------------------------------------- fuzzed input
+
+# Characters that steer the csv reader and numpy's reader, mixed into the
+# text so that the strategies reach past the header.
+CSV_CHARS = ',"\r\n\x00 \t#_.-+0123456789ab\x1c ٣'
+fuzz_text = st.one_of(st.text(), st.text(alphabet=CSV_CHARS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=fuzz_text, header=st.sampled_from(("", HEADER_P, HEADER_P.replace("_P", "_P,votes_Q"))))
+def test_parse_dataset_fails_only_with_parse_error(body, header):
+    try:
+        ds = parse_dataset(io.StringIO(header + body), tiny_regions())
+    except ParseError:
+        return
+    assert (ds.columns.votes >= 0).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=fuzz_text, header=st.sampled_from(("", "region_id,name,status,exceptional,geo_tag\n")))
+def test_parse_regions_fails_only_with_parse_error(body, header):
+    try:
+        parse_regions(io.StringIO(header + body))
+    except ParseError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=200))
+def test_parse_from_path_fails_only_with_parse_error_on_any_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+    path.write_bytes(HEADER_P.encode() + data)
+    try:
+        parse_dataset(path, tiny_regions())
+    except ParseError:
+        pass
+    path.write_bytes(b"region_id,name,status,exceptional,geo_tag\n" + data)
+    try:
+        parse_regions(path)
+    except ParseError:
+        pass

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from urnstats.mixture import (
     GaussianComponent,
@@ -135,6 +136,21 @@ def test_kolmogorov_distance_single_vs_mixture():
         assert kolmogorov_gaussian_distance(mu, 0.5) < 1e-6
     two = SizeMeasure({100: 0.5, 400: 0.5}, normalized=True)
     assert kolmogorov_gaussian_distance(two, 0.5) > 1e-3
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.77])
+@pytest.mark.parametrize("grid_points", [1, 255, 256, 257, 4001])
+def test_kolmogorov_distance_in_blocks_equals_whole_grid(p, grid_points):
+    """The grid is evaluated a block of points at a time; the maximum over
+    the blocks is bit for bit the maximum over one (points, atoms) array."""
+    rng = np.random.default_rng(7)
+    sizes = np.unique(rng.integers(10, 3000, 500))
+    mu = SizeMeasure(dict(zip(sizes.tolist(), rng.random(len(sizes)).tolist()))).normalize()
+    _, var, _ = mixture_moments(mu, p)
+    smax = math.sqrt(p * (1 - p) / sizes.min())
+    xs = np.linspace(p - 10.0 * smax, p + 10.0 * smax, grid_points)
+    whole = np.max(np.abs(mixture_cdf(mu, p, xs) - norm.cdf((xs - p) / math.sqrt(var))))
+    assert kolmogorov_gaussian_distance(mu, p, grid_points) == float(whole)
 
 
 # ---------------------------------------------------------------- modes

@@ -1,12 +1,13 @@
 """Column-writing producers against plain per-row references.
 
-`parse_dataset` builds its columns in bulk, a chunk of rows at a time,
-`synth._largest_remainder` apportions a whole matrix at once, and `inject`
-stuffs or draws all hit stations in array operations.  The references below
-are the per-row versions: a line-by-line parser that raises on the first bad
-line, a one-row largest remainder, and one-station injectors.  Random CSVs,
-valid and malformed, must give an equal dataset or the identical ParseError
-message; random datasets must give equal injected records and manifests.
+`parse_dataset` builds its columns in bulk, with numpy's reader for plain
+files and otherwise a chunk of csv rows at a time, `synth._largest_remainder`
+apportions a whole matrix at once, and `inject` stuffs or draws all hit
+stations in array operations.  The references below are the per-row
+versions: a line-by-line parser that raises on the first bad line, a one-row
+largest remainder, and one-station injectors.  Random CSVs, valid and
+malformed, must give an equal dataset or the identical ParseError message;
+random datasets must give equal injected records and manifests.
 """
 
 from __future__ import annotations
@@ -47,11 +48,18 @@ def reference_count(token: str, line_no: int, column: str) -> int:
 
 def reference_parse(text: str, regions) -> Dataset:
     """One record per line, checks in line order (the header is well formed here)."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     header = [h.strip() for h in next(reader)]
     parties = [col[len("votes_"):] for col in header[len(FIXED):]]
-    records, seen = [], set()
-    for line_no, row in enumerate(reader, start=2):
+    records, seen, line_no = [], set(), 1
+    while True:
+        line_no += 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise ParseError(f"line {line_no}: {exc}") from None
         if not row:
             continue
         if len(row) != len(header):
@@ -71,54 +79,80 @@ def reference_parse(text: str, regions) -> Dataset:
 ODD_COUNTS = (
     "-1", "-0", "x", "", "1.5", " 7 ", "\t8", "+9", "1_000", "٣",
     str(INT64_MAX), str(INT64_MAX + 1), str(-INT64_MAX - 2), "100000000000000000000",
+    # tokens where a C number reader could part from int()
+    "1.0", "1e3", "0x10", "0b1", "0o7", "1 2", "-", "+", "١٢", "１", "5\x0b", "\x0c5", "\xa09", "9\u2003",
+    "\x1c7", "#5", "5#", "'5", "\"5\"", "\"1,2\"",
 )
+ODD_IDS = ("s1", " s1", "s2", "s3 ", "s#1", "s'1", '"s,1"', '"s1"', '"s""q"', "s\x00", "x" * 131073)
+ODD_LINES = ("", "  ", "\t", ",,,,,")
 
 
 @st.composite
 def precinct_csvs(draw):
     """A header with one to three parties and up to 12 rows.  Clean files
-    have unique ids, known regions and plain counts; the others mix in every
-    kind of bad line: wrong column counts, duplicate (after stripping) ids,
-    unknown regions, non-integers, negatives and counts beyond int64."""
+    have unique ids, known regions and plain counts; odd-count files differ
+    only in their count tokens; broken files mix in every kind of bad line:
+    wrong column counts, trailing commas, whitespace-only lines, duplicate
+    (after stripping) ids, unknown regions, non-integers, negatives, counts
+    beyond int64, NULs and fields over the csv field limit.  Plain files (no
+    quotes, LF line ends) take numpy's route when valid; the others use
+    quoted fields and CRLF or CR line ends."""
     parties = draw(st.sampled_from((("P",), ("P", "Q"), ("Q", "P", "R"))))
-    clean = draw(st.booleans())
+    kind, plain = draw(st.sampled_from(("clean", "odd counts", "broken"))), draw(st.booleans())
     counts = st.integers(0, 10**6).map(str)
-    if not clean:
+    if kind != "clean":
         counts = st.one_of(counts, st.sampled_from(ODD_COUNTS))
     lines = [",".join([*FIXED, *(f"votes_{p}" for p in parties)])]
     for i in range(draw(st.integers(0, 12))):
         if draw(st.integers(0, 9)) == 0:
-            lines.append("")  # blank lines are skipped but counted
-            continue
-        if clean:
-            sid, region = f"s{i}", draw(st.sampled_from(("a", "b", " b ")))
+            lines.append(draw(st.sampled_from(ODD_LINES if kind == "broken" else ODD_LINES[:1])))
+            continue  # "" is skipped but counted
+        if kind != "broken":
+            sids = (f"s{i}", f" s{i}", f"s{i} ") if plain else (f"s{i}", f'"s{i}"', f'"s,{i}"')
+            sid = draw(st.sampled_from(sids))
+            region = draw(st.sampled_from(("a", "b", " b ")))
         else:
-            sid = draw(st.sampled_from(("s1", " s1", "s2", "s3 ", f"s{i}")))
-            region = draw(st.sampled_from(("a", "b", " a", "zz")))
+            sid = draw(st.sampled_from((*ODD_IDS, f"s{i}")))
+            region = draw(st.sampled_from(("a", "b", " a", "zz", '"a"')))
         row = [sid, region, *(draw(counts) for _ in range(3 + len(parties)))]
-        width = draw(st.sampled_from((0, 0, 0, -1, 1))) if not clean else 0
-        row = row[:-1] if width < 0 else row + ["5"] * width
+        width = draw(st.sampled_from((0, 0, 0, -1, 1))) if kind == "broken" else 0
+        row = row[:-1] if width < 0 else row + [draw(st.sampled_from(("5", "")))] * width
         lines.append(",".join(row))
-    return "\n".join(lines) + draw(st.sampled_from(("", "\n")))
+    eol = "\n" if plain else draw(st.sampled_from(("\r\n", "\r")))
+    return eol.join(lines) + draw(st.sampled_from(("", eol)))
+
+
+def assert_parse_matches_reference(text):
+    regions = tiny_regions()
+    try:
+        expected = reference_parse(text, regions)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_dataset(io.StringIO(text), regions)
+        assert str(got.value) == str(exc)
+        return
+    ds = parse_dataset(io.StringIO(text), regions)
+    assert ds == expected
+    assert ds.records == expected.records
+    assert ds.parties == expected.parties
+
+
+@pytest.mark.parametrize("token", ODD_COUNTS)
+@pytest.mark.parametrize("column", [2, 5])
+def test_odd_count_token_matches_reference(token, column):
+    """One token at a time in an otherwise plain, valid file: numpy's route
+    reads it as int() does or declines it to the csv path."""
+    row = ["s1", "a", "10", "5", "5", "2"]
+    row[column] = token
+    assert_parse_matches_reference(",".join(FIXED) + ",votes_P\n" + ",".join(row) + "\n")
 
 
 @settings(max_examples=400, deadline=None)
 @given(text=precinct_csvs(), chunk=st.sampled_from((1, 2, 3, 5, ingest.PARSE_CHUNK)))
 def test_parse_dataset_matches_reference(text, chunk):
     """Small chunks put duplicates, blank lines and errors across chunk borders."""
-    regions = tiny_regions()
     with patch.object(ingest, "PARSE_CHUNK", chunk):
-        try:
-            expected = reference_parse(text, regions)
-        except ParseError as exc:
-            with pytest.raises(ParseError) as got:
-                parse_dataset(io.StringIO(text), regions)
-            assert str(got.value) == str(exc)
-            return
-        ds = parse_dataset(io.StringIO(text), regions)
-    assert ds == expected
-    assert ds.records == expected.records
-    assert ds.parties == expected.parties
+        assert_parse_matches_reference(text)
 
 
 def reference_largest_remainder(quotas: np.ndarray, target: int) -> np.ndarray:
